@@ -2,8 +2,10 @@
 
 Each benchmark regenerates one paper table/figure at reduced grid size
 (full-fidelity sweeps live behind ``python -m repro fig3|fig4``), prints
-the rows the paper reports, and appends them to ``results/bench_*.txt`` so
-the output survives pytest's capture.
+the rows the paper reports and, in a session run with ``--runslow``,
+appends them to ``results/bench_*.txt`` so the output survives pytest's
+capture.  The fast-tier guardrails only print: a default run leaves the
+tracked ``results/`` files untouched.
 
 All benchmarks are in the ``slow`` tier (``--runslow`` to enable) and the
 sweep-shaped ones run through :mod:`repro.exp`; three environment knobs
@@ -81,6 +83,15 @@ def pytest_collection_modifyitems(config, items):
             )
 
 
+#: Whether this session writes under results/ (set from ``--runslow``).
+_PERSIST = False
+
+
+def pytest_configure(config):
+    global _PERSIST
+    _PERSIST = bool(config.getoption("--runslow"))
+
+
 #: Result files already truncated this session (emit starts each file
 #: fresh on first write, then appends — so running a *subset* of the
 #: benchmarks never deletes the other committed result files).
@@ -88,8 +99,11 @@ _FRESH: set = set()
 
 
 def emit(filename: str, text: str) -> None:
-    """Print a result block and persist it under results/."""
+    """Print a result block; persist it under results/ in a ``--runslow``
+    session."""
     print(text)
+    if not _PERSIST:
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / filename
     mode = "a" if filename in _FRESH else "w"
@@ -111,10 +125,14 @@ def emit_json(filename: str, key: str, payload: dict) -> None:
     against: one JSON document per benchmark family, one top-level ``key``
     per measured configuration, rewritten atomically from this session's
     accumulated snapshots (a partial run never merges stale data from a
-    previous session into its keys).
+    previous session into its keys).  Like :func:`emit`, it prints the
+    snapshot and writes only in a ``--runslow`` session.
     """
     import json
 
+    print(json.dumps({key: payload}, sort_keys=True))
+    if not _PERSIST:
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
     doc = _JSON_DOCS.setdefault(filename, {})
     doc[key] = payload

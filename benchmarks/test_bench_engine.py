@@ -1,54 +1,39 @@
-"""Engine event-churn benchmark: the three completion re-arm modes.
+"""Engine event-churn benchmark: the two completion re-arm modes.
 
 The simulator is the inner loop of every sweep point, and its hottest path
 is the change-point settle: the historical design cancelled and re-armed a
 completion event for *every* resident kernel on every submit / completion /
 abort — O(K) heap churn per change point, O(K²) events per hyperperiod —
-and the tombstones it left behind grew the heap without bound.  PR 5 made
-re-arming O(changed) (see :mod:`repro.gpu.device`) and taught the engine to
-compact tombstone-majority heaps.  PR 6 added the vectorised
-structure-of-arrays settle core (:mod:`repro.gpu.table`): whole-array
-allocation passes plus a rescale-aware time base holding per-slot
-``(armed_time, stamp)`` anchors behind a single sentinel event, so even a
-settle that changes *every* resident rate pushes O(1) heap events.
+and the tombstones it left behind grew the heap without bound.  The
+incremental device re-arms O(changed) (see :mod:`repro.gpu.device`) and
+the engine compacts tombstone-majority heaps.
 
-Two scenarios, three modes each (``incremental`` / ``full`` /
-``vectorised``), all driven by an ``admit_all_releases`` backlog with a
-deterministic O(1) round-robin context assignment so the measurement
-isolates the engine/device layer instead of SGPRS's O(backlog) placement
-scans:
+Both modes (``incremental`` / the reference ``full``) run an
+``admit_all_releases`` backlog with a deterministic O(1) round-robin
+context assignment, so the measurement isolates the engine/device layer
+instead of SGPRS's O(backlog) placement scans.  The DRAM/L2 aggregate
+ceiling is lifted, so rates across contexts stay decoupled: most change
+points touch one context and re-arm O(changed).
 
-* **Uncapped** — the DRAM/L2 aggregate ceiling is lifted, so rates across
-  contexts stay decoupled.  This is the regime the incremental mode
-  targets: most change points touch one context and re-arm O(changed).
-* **Ceiling-bound** — a low aggregate cap stays saturated throughout, so
-  every completion moves the ceiling rescale factor and changes every
-  surviving kernel's rate.  The incremental mode degenerates to O(K)
-  re-arms per settle here; the vectorised mode's shared virtual-time axis
-  absorbs the uniform rescale and keeps heap pushes O(1) per settle.
-
-All three modes produce bit-identical traces (pinned by
+Both modes produce bit-identical traces (pinned by
 ``tests/gpu/test_trace_equivalence.py``), so they process the *same* live
 events — all that differs is how much scheduling work is wasted re-arming
 events whose time never moved.
 
 Two tiers:
 
-* ``test_engine_guardrail_fast`` / ``test_engine_ceiling_guardrail_fast``
-  (fast tier, every push) assert the *deterministic* churn contracts —
-  the reference mode schedules >= 2x what incremental does (uncapped),
-  and incremental schedules >= 2x what vectorised does (ceiling-bound) —
-  and snapshot the measured throughput (counts cannot flake on shared CI
-  runners; wall time is reported, not gated, in this tier).
-* ``test_engine_throughput`` / ``test_engine_ceiling_throughput`` (slow
-  tier) measure wall-clock events/sec on bigger instances and assert the
-  speedups the PRs promise (incremental >= 1.5x over full, measured ~3x;
-  vectorised >= 2x over incremental on the ceiling-bound scenario,
-  measured ~2.6x on an idle machine).
+* ``test_engine_guardrail_fast`` (fast tier, every push) asserts the
+  *deterministic* churn contract — the reference mode schedules >= 2x
+  what incremental does — and prints the measured throughput (counts
+  cannot flake on shared CI runners; wall time is reported, not gated,
+  in this tier).
+* ``test_engine_throughput`` (slow tier) measures wall-clock events/sec on
+  a bigger instance and asserts incremental >= 1.5x over full (measured
+  ~3x on an idle machine).
 
-Results land in ``results/bench_engine.txt`` (human-readable) and
-``results/BENCH_engine.json`` (the machine-readable perf trajectory future
-perf PRs are judged against); CI uploads both as workflow artifacts.
+A ``--runslow`` session writes the results to ``results/bench_engine.txt``
+(human-readable) and ``results/BENCH_engine.json`` (the machine-readable
+perf trajectory); CI's slow shards upload both as workflow artifacts.
 """
 
 import itertools
@@ -74,16 +59,7 @@ BENCH_SPEC = GpuDeviceSpec(
     aggregate_speedup_cap=1e9,
 )
 
-#: The same device with the ceiling pulled far below the backlog's summed
-#: demand: the cap saturates immediately and stays saturated, so every
-#: settle is a uniform ceiling rescale of all resident rates.
-CEILING_SPEC = GpuDeviceSpec(
-    name="RTX 2080 Ti (ceiling-bound)",
-    total_sms=68,
-    aggregate_speedup_cap=12.0,
-)
-
-MODES = ("incremental", "full", "vectorised")
+MODES = ("incremental", "full")
 
 
 class BacklogRoundRobin(SgprsScheduler):
@@ -107,10 +83,10 @@ class BacklogRoundRobin(SgprsScheduler):
 
 
 def run_contention(rearm, num_contexts, streams_per_class, num_tasks,
-                   duration, spec=BENCH_SPEC):
+                   duration):
     """One high-contention run; returns (engine, device, wall_seconds)."""
     engine = SimulationEngine()
-    sms_per_context = spec.total_sms / num_contexts
+    sms_per_context = BENCH_SPEC.total_sms / num_contexts
     contexts = [
         SimContext(
             index,
@@ -120,7 +96,7 @@ def run_contention(rearm, num_contexts, streams_per_class, num_tasks,
         )
         for index in range(num_contexts)
     ]
-    device = GpuDevice(engine, spec, contexts, rearm=rearm)
+    device = GpuDevice(engine, BENCH_SPEC, contexts, rearm=rearm)
     tasks = identical_periodic_tasks(
         num_tasks, nominal_sms=sms_per_context
     )
@@ -137,14 +113,12 @@ def run_contention(rearm, num_contexts, streams_per_class, num_tasks,
     return engine, device, time.perf_counter() - started
 
 
-def measure(num_contexts, streams_per_class, num_tasks, duration,
-            spec=BENCH_SPEC):
-    """Run all three modes and collect the comparison record."""
+def measure(num_contexts, streams_per_class, num_tasks, duration):
+    """Run both modes and collect the comparison record."""
     rows = {}
     for rearm in MODES:
         engine, device, wall = run_contention(
-            rearm, num_contexts, streams_per_class, num_tasks, duration,
-            spec=spec,
+            rearm, num_contexts, streams_per_class, num_tasks, duration
         )
         rows[rearm] = {
             "wall_seconds": round(wall, 4),
@@ -157,14 +131,12 @@ def measure(num_contexts, streams_per_class, num_tasks, duration,
             "alloc_skips": device.alloc_skips,
         }
     incremental, full = rows["incremental"], rows["full"]
-    vectorised = rows["vectorised"]
-    # bit-identical traces => identical live events in all three modes
+    # bit-identical traces => identical live events in both modes
     assert incremental["events_processed"] == full["events_processed"]
-    assert vectorised["events_processed"] == full["events_processed"]
     return {
         "scenario": {
-            "device": spec.name,
-            "aggregate_speedup_cap": spec.aggregate_speedup_cap,
+            "device": BENCH_SPEC.name,
+            "aggregate_speedup_cap": BENCH_SPEC.aggregate_speedup_cap,
             "num_contexts": num_contexts,
             "streams_per_class": streams_per_class,
             "num_tasks": num_tasks,
@@ -173,20 +145,11 @@ def measure(num_contexts, streams_per_class, num_tasks, duration,
         },
         "incremental": incremental,
         "full": full,
-        "vectorised": vectorised,
         "churn_ratio": round(
             full["events_scheduled"] / incremental["events_scheduled"], 2
         ),
         "speedup_events_per_second": round(
             incremental["events_per_second"] / full["events_per_second"], 2
-        ),
-        "vectorised_churn_ratio": round(
-            incremental["events_scheduled"]
-            / vectorised["events_scheduled"], 2
-        ),
-        "vectorised_speedup_events_per_second": round(
-            vectorised["events_per_second"]
-            / incremental["events_per_second"], 2
         ),
     }
 
@@ -215,14 +178,6 @@ def render(title, record):
         f"throughput speedup, incremental vs full (events/s): "
         f"{record['speedup_events_per_second']:.2f}x"
     )
-    lines.append(
-        f"churn ratio (incremental/vectorised scheduled): "
-        f"{record['vectorised_churn_ratio']:.2f}x"
-    )
-    lines.append(
-        f"throughput speedup, vectorised vs incremental (events/s): "
-        f"{record['vectorised_speedup_events_per_second']:.2f}x"
-    )
     return "\n".join(lines)
 
 
@@ -241,39 +196,6 @@ def test_engine_guardrail_fast():
     )
     # the backlog must actually exercise the skip-pass fast path
     assert record["incremental"]["alloc_skips"] > 0
-    # the vectorised mode shares the skip path and must never schedule
-    # more events than incremental does (one sentinel <= many re-arms)
-    assert (
-        record["vectorised"]["events_scheduled"]
-        <= record["incremental"]["events_scheduled"]
-    )
-
-
-def test_engine_ceiling_guardrail_fast():
-    """Fast-tier guardrail (ceiling-bound): with the aggregate cap
-    saturated, every settle rescales every resident, so the incremental
-    mode must schedule >= 2x the events the vectorised mode does (measured
-    ~10x; a deterministic count, so the gate cannot flake)."""
-    record = measure(
-        num_contexts=8, streams_per_class=3, num_tasks=96, duration=0.25,
-        spec=CEILING_SPEC,
-    )
-    emit(
-        "bench_engine.txt",
-        render("engine churn guardrail (ceiling-bound, fast)", record),
-    )
-    emit_json("BENCH_engine.json", "ceiling_guardrail_fast", record)
-    assert record["vectorised_churn_ratio"] >= 2.0, (
-        "the rescale-aware time base must at least halve engine event "
-        "churn under a saturated ceiling "
-        f"(got {record['vectorised_churn_ratio']:.2f}x)"
-    )
-    # O(1) sentinel pushes per settle: total scheduled events stay within
-    # a small constant of the live events actually processed.
-    assert (
-        record["vectorised"]["events_scheduled"]
-        <= 1.2 * record["vectorised"]["events_processed"]
-    )
 
 
 @pytest.mark.slow
@@ -302,31 +224,6 @@ def test_engine_throughput():
     )
 
 
-@pytest.mark.slow
-def test_engine_ceiling_throughput():
-    """Slow tier (ceiling-bound): the vectorised settle core must process
-    >= 2x the events/sec the incremental device does once the aggregate
-    ceiling couples every rate (measured ~2.6x on an idle machine: the
-    incremental mode re-arms every resident at every settle here, while
-    the table shifts one scalar and refreshes one sentinel)."""
-    record = measure(
-        num_contexts=16, streams_per_class=6, num_tasks=256, duration=0.5,
-        spec=CEILING_SPEC,
-    )
-    emit(
-        "bench_engine.txt",
-        render("engine throughput (ceiling-bound)", record),
-    )
-    emit_json("BENCH_engine.json", "ceiling_bound", record)
-    assert record["vectorised_churn_ratio"] >= 2.0
-    assert record["vectorised_speedup_events_per_second"] >= 2.0, (
-        "the vectorised settle core lost its wall-clock advantage on the "
-        "ceiling-bound scenario (got "
-        f"{record['vectorised_speedup_events_per_second']:.2f}x, "
-        "expect ~2.6x idle)"
-    )
-
-
 # ----------------------------------------------------------------------
 # Scheduler-layer fast path (PR 9): cached occupancy + incremental
 # accounting + batched dispatch, measured against the frozen
@@ -350,7 +247,7 @@ class BacklogSgprs(SgprsScheduler):
 
 
 def run_sched_backlog(accounting, num_contexts, streams_per_class,
-                      num_tasks, duration, rearm="vectorised"):
+                      num_tasks, duration):
     """One SGPRS-placed backlog run in the given accounting mode."""
     engine = SimulationEngine()
     sms_per_context = BENCH_SPEC.total_sms / num_contexts
@@ -364,7 +261,7 @@ def run_sched_backlog(accounting, num_contexts, streams_per_class,
         )
         for index in range(num_contexts)
     ]
-    device = GpuDevice(engine, BENCH_SPEC, contexts, rearm=rearm)
+    device = GpuDevice(engine, BENCH_SPEC, contexts)
     tasks = identical_periodic_tasks(num_tasks, nominal_sms=sms_per_context)
     scheduler = BacklogSgprs(
         engine,
@@ -405,7 +302,7 @@ def measure_sched(num_contexts, streams_per_class, num_tasks, duration):
             "streams_per_class": streams_per_class,
             "num_tasks": num_tasks,
             "duration": duration,
-            "rearm": "vectorised",
+            "rearm": "incremental",
             "scheduler": "sgprs admit_all_releases backlog, paper placement",
         },
         "fast": fast,
@@ -493,10 +390,9 @@ def test_sched_throughput():
     """Slow tier: wall-clock events/sec on the 16-context SGPRS-placed
     backlog.  The scan baseline pays O(contexts x queued) placement scans
     per release (quadratic in the snowballing backlog); the fast path pays
-    O(contexts).  Gate >= 2x — the ISSUE's floor over the PR 6 vectorised
-    baseline, whose scheduler layer is exactly the scan mode — and keep
-    the gate looser than the measured value so shared-runner throttling
-    cannot teach anyone to ignore it."""
+    O(contexts).  Gate >= 2x over the scan baseline, looser than the
+    measured value so shared-runner throttling cannot teach anyone to
+    ignore it."""
     record = measure_sched(
         num_contexts=16, streams_per_class=2, num_tasks=384, duration=0.2
     )

@@ -59,12 +59,9 @@ class RunConfig:
     rearm_mode:
         Completion re-arming strategy of the device
         (:data:`repro.gpu.device.REARM_MODES`): ``"incremental"``
-        (default), the reference ``"full"`` re-arm-everything mode, or
-        ``"vectorised"`` (the structure-of-arrays settle core with a
-        single sentinel completion event; requires numpy).  All three
-        produce bit-identical traces; ``"full"`` exists for equivalence
-        tests and as the engine benchmark baseline, ``"vectorised"`` wins
-        in the ceiling-bound (aggregate-cap saturated) regime.
+        (default) or the reference ``"full"`` re-arm-everything mode.
+        Both produce bit-identical traces; ``"full"`` exists for
+        equivalence tests and as the engine benchmark baseline.
     arrival:
         Arrival process driving releases: a spec string resolved through
         the arrivals registry (``"poisson"``, ``"mmpp:burst=6"``, ...),

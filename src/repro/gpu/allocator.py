@@ -19,23 +19,6 @@ and progress rate.  The model (DESIGN.md section 4):
 Rates are in *single-SM work-seconds per wall second*, i.e. the composite
 speedup of the stage at its effective share, degraded by the efficiency
 terms.
-
-**Structure-of-arrays layout (the vectorised settle core).**  Under
-``GpuDevice(rearm="vectorised")`` the same model runs as whole-array
-passes over a flat kernel table (:class:`repro.gpu.table.KernelTable`):
-one fixed slot per ``(context, stream index)`` pair — contexts in device
-order, streams in index order, so slot order equals the scalar resident
-iteration order — holding parallel numpy arrays for remaining work,
-remaining setup, published rate and share, rate revision, the cached
-intra-context (water-filled) share, the cached speedup-curve value and
-co-location factor, and the per-slot completion anchor ``(armed_time,
-stamp)``.  Stage (1) still runs through :func:`intra_context_shares` —
-the scalar function below, invoked only for contexts whose residency
-moved — while stages (2)-(4) are array expressions whose order-sensitive
-sums use ``np.cumsum`` so every float matches this module's scalar loops
-bit for bit.  :meth:`repro.gpu.table.KernelTable.allocate` is the
-vectorised twin of :func:`compute_allocation`; change one only in
-lockstep with the other.
 """
 
 from __future__ import annotations
@@ -118,9 +101,7 @@ def intra_context_shares(
     knee of the curve (the 90%-of-peak point), not a hard architectural
     limit, so over-granting wastes SMs rather than violating a constraint.
     The behaviour is pinned by a regression test
-    (``tests/gpu/test_allocator.py::TestLeftoverSpread``) because the
-    vectorised settle core reuses this function verbatim — changing the
-    spread changes every mode's traces together or not at all.
+    (``tests/gpu/test_allocator.py::TestLeftoverSpread``).
 
     The result never exceeds ``nominal_sms`` in total.
     """
@@ -169,7 +150,7 @@ class WaterfillCache:
     solution as ``(input position, share)`` pairs **in the original
     insertion order**.  Replay rebuilds the dict in that same order with
     the same floats, so downstream order-sensitive consumers — notably
-    ``sum(shares.values())`` in the scalar allocator — see bit-identical
+    ``sum(shares.values())`` in :func:`compute_allocation` — see bit-identical
     results; the cache is invisible in every trace.
 
     Keys are value tuples (no ``id()``), so object lifetime cannot alias
@@ -226,7 +207,12 @@ def compute_allocation(
     """Allocate SM shares and progress rates for all resident kernels.
 
     ``cache`` optionally memoises the per-context water-fills (see
-    :class:`WaterfillCache`); results are bit-identical either way.
+    :class:`WaterfillCache`); results are bit-identical either way.  A
+    kernel's speedup curve is evaluated only when its effective share
+    differs from the one it was last evaluated at (the pair is kept on the
+    kernel as ``curve_share``/``curve_speedup``): a curve is a pure
+    function of the share, so the memo is bit-transparent, and a settle
+    pays curve evaluations only for the kernels whose share it moved.
     """
     result = AllocationResult()
     per_context: List[Tuple[SimContext, Dict[int, float]]] = []
@@ -258,7 +244,10 @@ def compute_allocation(
         colocation = 1.0 / (1.0 + params.beta * (len(kernels) - 1))
         for kernel in kernels:
             share = shares.get(kernel.kernel_id, 0.0) * result.device_scale
-            rate = kernel.curve.speedup(share) * colocation
+            if share != kernel.curve_share:
+                kernel.curve_share = share
+                kernel.curve_speedup = kernel.curve.speedup(share)
+            rate = kernel.curve_speedup * colocation
             result.shares[kernel.kernel_id] = share
             result.rates[kernel.kernel_id] = rate
             kernel_index[kernel.kernel_id] = kernel

@@ -18,7 +18,7 @@ on every release and every settle — ``queued_count`` / ``queue_empty`` /
 assignment, ``free_streams`` for stream picking, ``dispatch_ready`` at
 every device change point.  All of those used to be per-call scans over
 the queues and streams (O(queued) each, paid O(contexts) times per
-release), which profiling showed dominating vectorised runs.  The default
+release), which profiling showed dominating backlogged runs.  The default
 ``accounting="fast"`` mode instead maintains the answers incrementally:
 
 * per-level **live counters** and aggregate **backlog accumulators**
@@ -52,8 +52,8 @@ the ``stat_*`` observability counters mean the same thing in each.
 Float caveat, deliberate: the fast accumulators produce the same values a
 scan would *up to summation order* — an accumulator that adds and
 subtracts contributions is not bit-identical to re-summing the survivors.
-The estimates feed SGPRS placement heuristics only, all three device
-re-arm modes share this code (so cross-mode trace equivalence is
+The estimates feed SGPRS placement heuristics only, both device re-arm
+modes share this code (so cross-mode trace equivalence is
 unaffected), and the accumulators are reset to exactly 0.0 whenever the
 queues drain, bounding drift.
 """
@@ -311,12 +311,9 @@ class SimContext:
         object replaces it on the next residency change, so held references
         stay stable snapshots).
 
-        The stream-index ordering is load-bearing: the vectorised settle
-        core (:class:`repro.gpu.table.KernelTable`) assigns one fixed
-        table slot per ``(context, stream index)`` pair and relies on this
-        iteration order matching slot order, so its ``cumsum``-based
-        aggregate sums accumulate in exactly the sequence the scalar
-        allocator's loops do (bit-identical traces across re-arm modes).
+        The stream-index ordering is load-bearing: the allocator's
+        order-sensitive float sums accumulate in this order, so changing
+        it changes traces.
         """
         if self._resident_cache_rev != self.residency_rev:
             self._resident_cache = [

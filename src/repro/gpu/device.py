@@ -23,20 +23,9 @@ O(resident): a busy device with K resident kernels no longer pays O(K)
 cancels and re-pushes on every submit/complete/abort (O(K²) events per
 hyperperiod).  The reference ``rearm="full"`` mode keeps the historical
 cancel-everything/re-arm-everything behaviour — anchored at the same
-per-kernel completion times, so both modes produce bit-identical traces —
-and exists as the equivalence/benchmark baseline.
-
-The third mode, ``rearm="vectorised"``, goes one step further for the
-*ceiling-bound* regime, where a binding DRAM/L2 aggregate cap legitimately
-rescales every resident rate at every change point and O(changed)
-degenerates back to O(resident).  Kernel hot state lives in a flat
-structure-of-arrays table (:mod:`repro.gpu.table`); allocation and
-progress integration are whole-array passes; and completions are anchored
-per slot on a shared time axis with a **single sentinel event** in the
-engine heap carrying the earliest ``(time, stamp)`` pair — so a saturated
-settle costs O(1) heap operations and O(1) speedup-curve evaluations
-instead of O(K) of each.  All three modes produce bit-identical traces
-(``tests/gpu/test_trace_equivalence.py`` pins the full matrix).
+per-kernel completion times, so both modes produce bit-identical traces
+(``tests/gpu/test_trace_equivalence.py`` pins the full matrix) — and
+exists as the equivalence/benchmark baseline.
 
 The completion callback is the scheduler's online hook (release successor
 stages, complete jobs); anything it submits or aborts is folded into the
@@ -63,12 +52,10 @@ from repro.sim.trace_kinds import ALLOCATION, KERNEL_DONE, KERNEL_START
 
 CompletionCallback = Callable[[StageKernel], None]
 
-#: Re-arming strategies: ``"incremental"`` (the default O(changed) path),
+#: Re-arming strategies: ``"incremental"`` (the default O(changed) path) and
 #: ``"full"`` (the reference re-arm-everything mode used by the
-#: trace-equivalence tests and as the benchmark baseline) and
-#: ``"vectorised"`` (the structure-of-arrays core with a single sentinel
-#: completion event; requires numpy).
-REARM_MODES: Tuple[str, ...] = ("incremental", "full", "vectorised")
+#: trace-equivalence tests and as the benchmark baseline).
+REARM_MODES: Tuple[str, ...] = ("incremental", "full")
 
 
 class GpuDevice:
@@ -121,20 +108,10 @@ class GpuDevice:
         self.on_kernel_complete: Optional[CompletionCallback] = None
         #: kernel_id -> (rate revision at arming, scheduled completion
         #: event or None when stalled).  The event itself carries the
-        #: anchored absolute time.  Scalar modes only; the vectorised mode
-        #: anchors completions in the table and keeps one sentinel event.
+        #: anchored absolute time.
         self._armed: Dict[int, Tuple[int, Optional[Event]]] = {}
-        self._table = None
-        self._sentinel: Optional[Event] = None
-        self._sentinel_slot = -1
-        #: Bit-transparent memoisation of per-context water-fills, shared
-        #: between the scalar and vectorised allocation paths.
+        #: Bit-transparent memoisation of per-context water-fills.
         self._shares_cache = WaterfillCache()
-        if rearm == "vectorised":
-            # Deferred import: numpy stays optional for the scalar modes.
-            from repro.gpu.table import KernelTable
-
-            self._table = KernelTable(self.contexts, shares_cache=self._shares_cache)
         self._start_time = engine.now
         self._last_update = engine.now
         self._last_allocation = AllocationResult()
@@ -269,23 +246,16 @@ class GpuDevice:
         elapsed = now - self._last_update
         if elapsed <= 0:
             return
-        if self._table is not None:
-            # Whole-array integration; advance() semantics element-wise.
-            work_done, busy = self._table.advance(elapsed)
-            self.total_work_done += work_done
-            if busy:
-                self.busy_time += elapsed
-        else:
-            aggregate = 0.0
-            for kernel in self.resident_kernels():
-                # advance() reports the work actually consumed: setup
-                # seconds burn at rate 1 without producing work, so
-                # integrating rate * elapsed would overcount any kernel
-                # mid-setup (the naive scheduler's reconfiguration path).
-                self.total_work_done += kernel.advance(elapsed)
-                aggregate += kernel.rate
-            if aggregate > 0:
-                self.busy_time += elapsed
+        aggregate = 0.0
+        for kernel in self.resident_kernels():
+            # advance() reports the work actually consumed: setup seconds
+            # burn at rate 1 without producing work, so integrating
+            # rate * elapsed would overcount any kernel mid-setup (the
+            # naive scheduler's reconfiguration path).
+            self.total_work_done += kernel.advance(elapsed)
+            aggregate += kernel.rate
+        if aggregate > 0:
+            self.busy_time += elapsed
         self.pressure_time_integral += self._last_allocation.pressure * elapsed
         self._last_update = now
 
@@ -296,27 +266,11 @@ class GpuDevice:
             and residency_rev == self._alloc_residency_rev
         ):
             # Nothing entered or left a stream since the last pass: shares,
-            # rates and every armed completion event (or the sentinel) are
-            # still exact.  Only the allocation trace record is emitted
-            # (from the cached result, which the skipped pass would have
-            # reproduced).
+            # rates and every armed completion event are still exact.  Only
+            # the allocation trace record is emitted (from the cached
+            # result, which the skipped pass would have reproduced).
             self.alloc_skips += 1
             self._record_allocation(self._last_allocation)
-            return
-        if self._table is not None:
-            result, changed = self._table.allocate(
-                float(self.spec.total_sms),
-                self.spec.aggregate_speedup_cap,
-                self.params,
-                want_dicts=self.trace is not None,
-            )
-            self.alloc_passes += 1
-            self._last_allocation = result
-            self._alloc_residency_rev = residency_rev
-            self._record_allocation(result)
-            if changed.any():
-                self._table.rearm_changed(self.engine.now, self.engine, changed)
-            self._update_sentinel()
             return
         result = compute_allocation(
             self.contexts,
@@ -364,82 +318,10 @@ class GpuDevice:
         )
         self._armed[kernel.kernel_id] = (kernel.rate_rev, event)
 
-    def _rearm_residual(self, kernel: StageKernel, residual: float) -> None:
-        """Re-anchor a kernel whose fired completion undershot (rounding)."""
-        now = self.engine.now
-        when = now + residual
-        if self._table is None:
-            self._arm(kernel, when)
-            return
-        slot = self._table.slot_of[kernel.kernel_id]
-        if when == float("inf"):
-            self._table.clear_arm(slot)
-        else:
-            # Burn one order stamp, exactly like the scalar schedule_at.
-            self._table.arm_slot(
-                slot, max(when, now), self.engine.allocate_seqs(1)
-            )
-        self._update_sentinel()
-
     def _disarm(self, kernel_id: int) -> None:
         record = self._armed.pop(kernel_id, None)
         if record is not None and record[1] is not None:
             self.engine.cancel(record[1])
-        if self._table is not None:
-            # Drop the slot's anchor; the settle that always follows a
-            # disarm re-picks the sentinel before any event can fire.
-            self._table.disarm(kernel_id)
-
-    # ------------------------------------------------------------------
-    # Vectorised-mode sentinel
-    # ------------------------------------------------------------------
-    def _update_sentinel(self) -> None:
-        """Point the single pending engine event at the earliest anchor.
-
-        The sentinel carries the exact ``(time, stamp)`` pair the
-        incremental mode's next completion event would pop with, so event
-        interleaving — and therefore traces — stay bit-identical.  When
-        the earliest anchor is unchanged the existing event is kept: a
-        saturated settle then costs at most one cancel and one push.
-        """
-        best = self._table.best_armed()
-        event = self._sentinel
-        if best is None:
-            if event is not None and not event.fired:
-                event.cancel()
-            self._sentinel = None
-            self._sentinel_slot = -1
-            return
-        slot, when, stamp = best
-        if (
-            event is not None
-            and not event.cancelled
-            and not event.fired
-            and event.seq == stamp
-            and event.time == when
-        ):
-            self._sentinel_slot = slot
-            return
-        if event is not None and not event.fired:
-            event.cancel()
-        kernel = self._table.kernels[slot]
-        self._sentinel = self.engine.schedule_at_seq(
-            when,
-            stamp,
-            self._fire_sentinel,
-            tag=f"complete:{kernel.label}" if kernel is not None else "complete:?",
-        )
-        self._sentinel_slot = slot
-
-    def _fire_sentinel(self) -> None:
-        """The sentinel event's action: complete the anchored kernel."""
-        slot = self._sentinel_slot
-        self._sentinel = None
-        self._sentinel_slot = -1
-        kernel = self._table.kernels[slot]
-        # Mirror the scalar mode popping its armed record before handling.
-        self._table.clear_arm(slot)
-        self._on_completion(kernel)
 
     def _record_allocation(self, result: AllocationResult) -> None:
         if self.trace is not None:
@@ -455,10 +337,6 @@ class GpuDevice:
         self._armed.pop(kernel.kernel_id, None)
         self._advance_progress()
         if kernel.aborted:
-            if self._table is not None:
-                # The fired sentinel consumed this slot's anchor; the rest
-                # of the table must get its next completion re-scheduled.
-                self._update_sentinel()
             return
         if not kernel.is_complete:
             residual = kernel.time_to_completion()
@@ -471,7 +349,7 @@ class GpuDevice:
                 # Accumulated per-step rounding left real residual work (the
                 # anchored completion time undershot): re-arm this kernel at
                 # its remaining time; rates are unchanged.
-                self._rearm_residual(kernel, residual)
+                self._arm(kernel, self.engine.now + residual)
                 return
         context = self.context(kernel.context_id)
         context.remove(kernel)

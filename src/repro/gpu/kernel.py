@@ -92,131 +92,37 @@ class StageKernel:
             )
         if setup_time < 0:
             raise ValueError(f"kernel {label!r}: setup_time must be >= 0")
-        # Facade state first: the hot-state properties below dispatch on
-        # ``_table``, so it must exist before anything reads them.
-        self._table = None
-        self._slot = -1
         self.kernel_id = next(_KERNEL_IDS)
         self.label = label
         self.curve = curve
         self.work_total = work
-        self._work_remaining = work
-        self._setup_remaining = setup_time
+        #: Parallelisable work left, in single-SM seconds.
+        self.work_remaining = work
+        #: Serial setup seconds left (burn at rate 1 before work starts).
+        self.setup_remaining = setup_time
         self.width_demand = width_demand
         self.deadline = deadline
         self.priority = priority
         self.payload = payload
-        # Execution state, managed by the device/context:
-        self._share: float = 0.0
-        self._rate: float = 0.0
-        self._rate_rev: int = 0
+        # Execution state, managed by the device/context/allocator:
+        #: Effective SM share published by the last allocation pass.
+        self.share: float = 0.0
+        #: Progress rate (single-SM seconds per wall second).
+        self.rate: float = 0.0
+        #: Revision counter bumped whenever the published ``rate`` actually
+        #: changes.  The device re-arms a kernel's provisional completion
+        #: event only when this revision moved: at a constant rate the
+        #: completion time fixed when the rate was last set stays exact.
+        self.rate_rev: int = 0
+        #: The share ``curve.speedup`` was last evaluated at (NaN: never)
+        #: and its value.  The allocator re-evaluates only when the share
+        #: moved; a curve is a pure function of the share, so this is exact.
+        self.curve_share: float = float("nan")
+        self.curve_speedup: float = 0.0
         self.context_id: Optional[int] = None
         self.stream_id: Optional[int] = None
         self.dispatched_at: Optional[float] = None
         self.aborted = False
-
-    # ------------------------------------------------------------------
-    # Structure-of-arrays facade
-    # ------------------------------------------------------------------
-    # Under the vectorised device (``rearm="vectorised"``) a resident
-    # kernel's hot state lives in one slot of the device's
-    # :class:`repro.gpu.table.KernelTable`; these properties read/write
-    # through to the arrays so schedulers, contexts and tests see one
-    # coherent value regardless of mode.  Unbound kernels (queued, or any
-    # kernel under the scalar modes) use the private attributes directly.
-
-    def _bind(self, table, slot: int) -> None:
-        """Attach the facade to a table slot (the table copies state in)."""
-        self._table = table
-        self._slot = slot
-
-    def _unbind(self) -> None:
-        """Detach from the table (the table copied state back out first)."""
-        self._table = None
-        self._slot = -1
-
-    @property
-    def work_remaining(self) -> float:
-        """Parallelisable work left, in single-SM seconds."""
-        table = self._table
-        if table is None:
-            return self._work_remaining
-        return table.work_remaining[self._slot]
-
-    @work_remaining.setter
-    def work_remaining(self, value: float) -> None:
-        table = self._table
-        if table is None:
-            self._work_remaining = value
-        else:
-            table.work_remaining[self._slot] = value
-
-    @property
-    def setup_remaining(self) -> float:
-        """Serial setup seconds left (burn at rate 1 before work starts)."""
-        table = self._table
-        if table is None:
-            return self._setup_remaining
-        return table.setup_remaining[self._slot]
-
-    @setup_remaining.setter
-    def setup_remaining(self, value: float) -> None:
-        table = self._table
-        if table is None:
-            self._setup_remaining = value
-        else:
-            table.setup_remaining[self._slot] = value
-
-    @property
-    def share(self) -> float:
-        """Effective SM share published by the last allocation pass."""
-        table = self._table
-        if table is None:
-            return self._share
-        return table.share[self._slot]
-
-    @share.setter
-    def share(self, value: float) -> None:
-        table = self._table
-        if table is None:
-            self._share = value
-        else:
-            table.share[self._slot] = value
-
-    @property
-    def rate(self) -> float:
-        """Progress rate (single-SM seconds per wall second)."""
-        table = self._table
-        if table is None:
-            return self._rate
-        return table.rate[self._slot]
-
-    @rate.setter
-    def rate(self, value: float) -> None:
-        table = self._table
-        if table is None:
-            self._rate = value
-        else:
-            table.rate[self._slot] = value
-
-    @property
-    def rate_rev(self) -> int:
-        """Revision counter bumped whenever the published ``rate`` actually
-        changes.  The device re-arms a kernel's provisional completion
-        event only when this revision moved: at a constant rate the
-        completion time fixed when the rate was last set stays exact."""
-        table = self._table
-        if table is None:
-            return self._rate_rev
-        return int(table.rate_rev[self._slot])
-
-    @rate_rev.setter
-    def rate_rev(self, value: int) -> None:
-        table = self._table
-        if table is None:
-            self._rate_rev = value
-        else:
-            table.rate_rev[self._slot] = value
 
     # ------------------------------------------------------------------
     # Progress accounting
@@ -256,8 +162,6 @@ class StageKernel:
         """
         if elapsed < 0:
             raise ValueError(f"elapsed must be >= 0, got {elapsed}")
-        # Read each facade property once: under the vectorised device the
-        # accessors index numpy arrays, which is cheap but not free.
         setup = self.setup_remaining
         if setup > 0:
             consumed = min(setup, elapsed)
@@ -279,12 +183,7 @@ class StageKernel:
         return consumed_work
 
     def time_to_completion(self) -> float:
-        """Wall time until done at the current rate (inf when stalled).
-
-        The branch structure is mirrored element-wise by
-        :meth:`repro.gpu.table.KernelTable.completion_times`; keep the two
-        in lockstep or the vectorised mode's traces drift.
-        """
+        """Wall time until done at the current rate (inf when stalled)."""
         setup = self.setup_remaining
         work = self.work_remaining
         if setup <= self.WORK_EPS and work <= self.WORK_EPS:

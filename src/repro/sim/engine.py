@@ -148,9 +148,7 @@ class SimulationEngine:
         cancelled).
 
         The difference between two readings measures event churn — the
-        quantity the incremental and vectorised device re-arming exist to
-        minimise.  Order stamps burned by :meth:`allocate_seqs` without a
-        matching push do not count: they are bookkeeping, not heap work.
+        quantity the incremental device re-arming exists to minimise.
         """
         return self._scheduled
 
@@ -205,55 +203,6 @@ class SimulationEngine:
             _engine=self,
         )
         self._seq += 1
-        self._scheduled += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    def allocate_seqs(self, count: int) -> int:
-        """Reserve ``count`` consecutive order stamps; return the first.
-
-        The vectorised device keeps per-kernel completion order in a flat
-        table instead of one heap event per kernel, but same-timestamp
-        FIFO tie-breaking must stay bit-identical to the incremental mode,
-        which consumes one sequence number per re-armed kernel.  Burning
-        the same stamps here keeps every later event's tie-break position
-        aligned across modes.  No heap work happens, so the reservation
-        does not count towards :attr:`scheduled_count`.
-        """
-        if count < 0:
-            raise SimulationError(f"cannot allocate {count} seqs")
-        base = self._seq
-        self._seq += count
-        return base
-
-    def schedule_at_seq(
-        self, when: float, seq: int, action: Callable[[], None], tag: str = ""
-    ) -> Event:
-        """Schedule ``action`` at ``when`` with an explicit order stamp.
-
-        ``seq`` must come from :meth:`allocate_seqs` (or be the stamp of a
-        previously cancelled event being revived at the same position).
-        Used by the vectorised device's completion sentinel: the single
-        pending event carries the exact ``(time, seq)`` the incremental
-        mode's next completion event would have, so pop order — and
-        therefore traces — are bit-identical.
-        """
-        validate_time(when, "when")
-        if when < self._now - TIME_EPS:
-            raise SimulationError(
-                f"cannot schedule event {tag!r} at {when} before now={self._now}"
-            )
-        if seq >= self._seq:
-            raise SimulationError(
-                f"event {tag!r} uses unallocated seq {seq} (next is {self._seq})"
-            )
-        event = Event(
-            time=max(when, self._now),
-            seq=seq,
-            action=action,
-            tag=tag,
-            _engine=self,
-        )
         self._scheduled += 1
         heapq.heappush(self._heap, event)
         return event

@@ -1,8 +1,8 @@
 """Array-backed columnar trace recorder.
 
 :class:`~repro.sim.trace.TraceRecorder` keeps one frozen dataclass plus
-one dict per event — convenient, but a million-event run (which the
-vectorised engine and open-system arrivals readily produce) costs
+one dict per event — convenient, but a million-event run (which
+overloaded pools and open-system arrivals readily produce) costs
 hundreds of bytes per event and pushes large sweeps into
 ``record_trace=False`` blindness.  :class:`ColumnarTrace` stores the
 same stream as flat per-column arrays instead:
@@ -23,13 +23,6 @@ The class is drop-in API-compatible with :class:`TraceRecorder`
 ``kinds`` / ``last`` / ``clear`` / ``enabled``), selectable per run via
 ``RunConfig(trace_backend="columnar")``, and the payload round-trips to
 disk through :mod:`repro.sim.trace_io`.
-
-Everything here is stdlib-only so scalar simulation modes keep working
-without numpy.  When numpy *is* installed, :meth:`ColumnarTrace.column`
-and :meth:`ColumnarTrace.times` hand back packed ``ndarray`` snapshots
-(one buffer copy — a live view would export-lock the growable buffer
-and make the next ``record`` raise ``BufferError``) for vectorised
-analytics.
 """
 
 from __future__ import annotations
@@ -39,18 +32,12 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.sim.trace import TraceRecord
 
-try:  # optional: zero-copy views for analytics, never required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
 #: Column type codes: packed float64, packed int64, interned string ids,
 #: or an arbitrary-object list fallback (also used after a type clash).
 FLOAT, INT, STR, OBJECT = "f", "i", "s", "o"
 
 _TYPECODES = {FLOAT: "d", INT: "q", STR: "i"}
 _FILLERS = {FLOAT: 0.0, INT: 0, STR: -1}
-_NUMPY_DTYPES = {FLOAT: "<f8", INT: "<i8", STR: "<i4"}
 
 
 class _Column:
@@ -275,24 +262,18 @@ class ColumnarTrace:
     # ------------------------------------------------------------------
     # Columnar extras (beyond the TraceRecorder API)
     # ------------------------------------------------------------------
-    def times(self):
-        """All record timestamps as a flat array.
-
-        A packed numpy snapshot when numpy is installed, else the live
-        stdlib array (treat it as read-only).
-        """
-        if _np is not None:
-            return _np.frombuffer(bytes(self._times), dtype="<f8")
-        return self._times
+    def times(self) -> array:
+        """All record timestamps, as a copy of the packed ``array('d')``."""
+        return self._times[:]
 
     def column(self, kind: str, field: str):
-        """One ``(kind, field)`` column as a flat array.
+        """One ``(kind, field)`` column as a flat copy.
 
-        Float/int columns come back as packed arrays (numpy snapshots
-        when numpy is installed); string columns as a list of decoded
-        strings; object columns as a copy of the raw list.  Rows where
-        the field was absent hold the column's filler value — check
-        :meth:`of_kind` when per-record presence matters.
+        Float/int columns come back as packed stdlib ``array`` copies;
+        string columns as a list of decoded strings; object columns as a
+        copy of the raw list.  Rows where the field was absent hold the
+        column's filler value — check :meth:`of_kind` when per-record
+        presence matters.
         """
         kind_id = self._kind_lookup.get(kind)
         if kind_id is None:
@@ -302,13 +283,7 @@ class ColumnarTrace:
             raise KeyError(f"kind {kind!r} has no field {field!r}")
         if column.code == STR:
             return [self._strings[i] for i in column.values]
-        if column.code == OBJECT:
-            return list(column.values)
-        if _np is not None:
-            return _np.frombuffer(
-                bytes(column.values), dtype=_NUMPY_DTYPES[column.code]
-            )
-        return column.values
+        return column.values[:]
 
     def nbytes(self) -> int:
         """Approximate resident payload bytes (buffers + string table).

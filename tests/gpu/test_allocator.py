@@ -95,8 +95,8 @@ class TestLeftoverSpread:
     When every kernel's width demand is satisfied and budget remains, the
     spread hands the surplus to **every** kernel — width-capped ones
     included — so final shares deliberately exceed ``width_demand``.  The
-    exact split is part of the trace contract (all three re-arm modes
-    reuse :func:`intra_context_shares` verbatim); see the function's
+    exact split is part of the trace contract (both re-arm modes reuse
+    :func:`intra_context_shares` verbatim); see the function's
     docstring for the rationale.  Changing the spread invalidates every
     pinned trace at once, so these tests pin the precise values.
     """

@@ -1,28 +1,40 @@
-"""Trace equivalence: all three completion re-arm modes vs. each other.
+"""Trace equivalence: both completion re-arm modes vs. each other and vs.
+recorded trace digests.
 
 The incremental device (``rearm="incremental"``, the default) re-arms a
 kernel's provisional completion event only when its rate revision moved and
 skips the allocation pass entirely when the resident set is untouched.  The
 reference mode (``rearm="full"``) cancels and re-pushes every resident
 kernel's event at every change point — the historical O(K)-per-settle
-behaviour.  The vectorised mode (``rearm="vectorised"``) runs the settle
-core as whole-array passes over a structure-of-arrays kernel table with a
-single sentinel completion event over per-slot ``(armed_time, stamp)``
-anchors (see :mod:`repro.gpu.table`).
+behaviour.
 
-These tests pin the optimisations' whole correctness claim: for every named
-scenario, scheduler variant, replication seed and jitter setting, all three
+These tests pin the optimisation's whole correctness claim: for every named
+scenario, scheduler variant, replication seed and jitter setting, both
 modes must produce **bit-identical** :class:`TraceRecorder` output (every
 record's exact float timestamp, kind and payload) and identical steady-state
 metrics.  The fast tier runs a one-seed slice on every push; the full
 acceptance matrix (all named scenarios x 3 seeds x jitter on/off x both
-scheduler families x all three modes) runs in the slow tier.
+scheduler families x both modes) runs in the slow tier.
 
-``TestCeilingBoundRearm`` additionally pins the vectorised mode's headline
-complexity win: in the ceiling-bound regime (aggregate cap saturated, every
-settle a uniform rescale) it pushes O(1) heap events per settle where the
-incremental mode re-arms every resident kernel.
+Both modes run the same :func:`~repro.gpu.allocator.compute_allocation`, so
+a fault there would move both traces alike and the cross-mode comparison
+would still pass.  Every point's trace is therefore also pinned to a sha256
+in ``tests/golden/trace_digests.json``, recorded before the modes came to
+share the allocator's speedup memo.  The digest hashes the canonical
+tuples (exact float reprs), not the on-disk bytes, so a trace-format
+change does not churn it.  A change that moves a trace on purpose names
+the bug it fixes and replaces the entries its failing assertions print.
+
+``TestCeilingBoundRearm`` additionally pins the settle's exact cost in the
+ceiling-bound regime (aggregate cap saturated, every settle a uniform
+rescale): the incremental mode re-arms every resident kernel, while the
+allocator evaluates speedup curves only for kernels whose share moved.
 """
+
+import functools
+import hashlib
+import json
+import pathlib
 
 import pytest
 
@@ -49,6 +61,10 @@ NAMED_SCENARIOS = [
     ("surveillance_burst", 3, "surveillance_burst"),
     ("util_ramp", 2, "util_ramp"),
 ]
+
+DIGESTS_PATH = (
+    pathlib.Path(__file__).resolve().parents[1] / "golden" / "trace_digests.json"
+)
 
 
 def run_traced(point: GridPoint, rearm_mode: str, scheduler_cls=None):
@@ -101,15 +117,46 @@ def canonical_trace(result):
     ]
 
 
+def trace_digest(result) -> str:
+    """sha256 over the reprs of the canonical trace tuples."""
+    hasher = hashlib.sha256()
+    for entry in canonical_trace(result):
+        hasher.update(repr(entry).encode())
+        hasher.update(b"\n")
+    return hasher.hexdigest()
+
+
+def digest_key(point: GridPoint, scheduler_cls=None) -> str:
+    """The digest file's key for a point run by an optional scheduler."""
+    key = (
+        f"{point.scenario}/{point.variant}/n{point.num_tasks}"
+        f"/seed{point.seed}/cv{point.work_jitter_cv:g}/d{point.duration:g}"
+    )
+    if scheduler_cls is not None:
+        key += f"/{scheduler_cls.name}"
+    return key
+
+
+@functools.lru_cache(maxsize=None)
+def recorded_digests():
+    with open(DIGESTS_PATH) as handle:
+        return json.load(handle)["digests"]
+
+
+def assert_recorded(result, key: str):
+    expected = recorded_digests().get(key)
+    actual = trace_digest(result)
+    assert actual == expected, (
+        f"trace digest of {key} moved: recorded {expected}, got {actual}"
+    )
+
+
 def assert_equivalent(point: GridPoint, scheduler_cls=None):
     incremental = run_traced(point, "incremental", scheduler_cls)
     reference = run_traced(point, "full", scheduler_cls)
-    vectorised = run_traced(point, "vectorised", scheduler_cls)
-    expected = canonical_trace(reference)
-    assert canonical_trace(incremental) == expected
-    assert canonical_trace(vectorised) == expected
+    assert canonical_trace(incremental) == canonical_trace(reference)
     assert incremental.metrics_summary() == reference.metrics_summary()
-    assert vectorised.metrics_summary() == reference.metrics_summary()
+    assert_recorded(incremental, digest_key(point, scheduler_cls))
 
 
 def make_point(scenario, num_contexts, workload, variant, seed, jitter,
@@ -160,6 +207,22 @@ class _BacklogSgprs(SgprsScheduler):
     admit_all_releases = True
 
 
+class SheddingSgprs(_BacklogSgprs):
+    """Backlog admission plus deadline-triggered job shedding."""
+
+    name = "sgprs_shedding"
+
+    def _release_job(self, task):
+        super()._release_job(task)
+        job = self._latest_job.get(task.name)
+        if job is not None and not job.finished:
+            self.engine.schedule_at(
+                job.absolute_deadline,
+                lambda j=job: self.abort_job(j),
+                tag=f"shed:{task.name}/j{job.index}",
+            )
+
+
 class TestSheddingEquivalence:
     """The abort path (``abort_job`` -> ``GpuDevice.abort_many``)."""
 
@@ -167,43 +230,38 @@ class TestSheddingEquivalence:
     def test_shedding_run_is_equivalent(self, jitter):
         point = make_point("scenario1", 2, "identical", "sgprs_1.5",
                            seed=3, jitter=jitter, num_tasks=8, duration=0.8)
-
-        class SheddingSgprs(_BacklogSgprs):
-            """Backlog admission plus deadline-triggered job shedding."""
-
-            name = "sgprs_shedding"
-
-            def _release_job(self, task):
-                super()._release_job(task)
-                job = self._latest_job.get(task.name)
-                if job is not None and not job.finished:
-                    self.engine.schedule_at(
-                        job.absolute_deadline,
-                        lambda j=job: self.abort_job(j),
-                        tag=f"shed:{task.name}/j{job.index}",
-                    )
-
         assert_equivalent(point, scheduler_cls=SheddingSgprs)
 
 
+class _CountingCurve:
+    """``SaturatingCurve(0.05)`` that counts its evaluations."""
+
+    def __init__(self):
+        self.inner = SaturatingCurve(0.05)
+        self.calls = 0
+
+    def speedup(self, sms):
+        self.calls += 1
+        return self.inner.speedup(sms)
+
+
 class TestCeilingBoundRearm:
-    """The vectorised mode's headline complexity claim, pinned exactly.
+    """The settle's cost in the ceiling-bound regime, pinned exactly.
 
     Setup: four contexts sized so summed grants equal the device
     (``pressure == 1``, ``device_scale == 1``) under a low aggregate
     ceiling that stays saturated throughout.  Every completion then
     changes *every* surviving kernel's rate — the aggregate drops, the
-    ceiling rescale factor moves, and the rescale is uniform.  The
-    incremental device must re-arm each survivor (O(K) heap pushes per
-    settle); the vectorised device re-anchors the shared virtual-time
-    axis in the table and refreshes its single sentinel event (O(1)
-    pushes per settle), which is the whole point of the rescale-aware
-    time base.
+    ceiling rescale factor moves, and the rescale is uniform — so the
+    device must re-arm each survivor (O(K) heap pushes per settle).  The
+    shares, though, move only inside the context that lost a kernel, and
+    the allocator evaluates a speedup curve only where the share moved.
     """
 
     @staticmethod
-    def _completion_push_deltas(rearm):
-        """Heap pushes per completion settle, plus the completion count."""
+    def _completion_settles(rearm):
+        """Heap pushes and curve evaluations per completion settle, plus
+        the completion order."""
         engine = SimulationEngine()
         spec = GpuDeviceSpec(total_sms=68, aggregate_speedup_cap=10.0)
         contexts = [SimContext(i, 17.0) for i in range(4)]
@@ -215,51 +273,54 @@ class TestCeilingBoundRearm:
         device.on_kernel_complete = lambda kernel: completions.append(
             kernel.label
         )
+        curves = []
         # 16 kernels with distinct work totals: completions are spread out,
         # so each settle sees one departure and a fresh uniform rescale.
         for ci, context in enumerate(contexts):
             for si in range(4):
                 index = ci * 4 + si
+                curves.append(_CountingCurve())
                 device.submit(
                     StageKernel(
                         label=f"c{ci}s{si}",
-                        curve=SaturatingCurve(0.05),
+                        curve=curves[-1],
                         work=0.5 + 0.25 * index,
                         width_demand=17.0,
                         deadline=1e9,
                     ),
                     context,
                 )
-        deltas = []
+        pushes, evaluations = [], []
         while True:
-            before = engine.scheduled_count
+            pushed = engine.scheduled_count
+            evaluated = sum(curve.calls for curve in curves)
             seen = len(completions)
             if engine.run(max_events=1) == 0:
                 break
             assert len(completions) == seen + 1  # only completion events
-            deltas.append(engine.scheduled_count - before)
-        return deltas, completions
-
-    def test_vectorised_rearms_o1_per_settle(self):
-        deltas, completions = self._completion_push_deltas("vectorised")
-        assert len(completions) == 16
-        # One sentinel refresh per settle, no matter how many survivors
-        # got rescaled; the final settle (empty table) pushes nothing.
-        assert all(delta <= 1 for delta in deltas)
-        assert sum(deltas) <= 16
+            pushes.append(engine.scheduled_count - pushed)
+            evaluations.append(sum(curve.calls for curve in curves) - evaluated)
+        return pushes, evaluations, completions
 
     def test_incremental_rearms_every_survivor(self):
-        deltas, completions = self._completion_push_deltas("incremental")
+        pushes, _, completions = self._completion_settles("incremental")
         assert len(completions) == 16
         # After the k-th completion, all (16 - k) survivors changed rate
         # under the saturated ceiling and must each be re-armed.
-        assert deltas == [16 - k for k in range(1, 17)]
+        assert pushes == [16 - k for k in range(1, 17)]
+
+    def test_settle_evaluates_only_moved_shares(self):
+        for rearm in ("incremental", "full"):
+            _, evaluations, _ = self._completion_settles(rearm)
+            # The contexts drain one after another; each settle evaluates
+            # only the survivors of the context that lost a kernel, not
+            # all 15, 14, ..., 0 survivors whose rate moved.
+            assert evaluations == [3, 2, 1, 0] * 4, rearm
 
     def test_ceiling_bound_modes_complete_identically(self):
-        _, vec = self._completion_push_deltas("vectorised")
-        _, inc = self._completion_push_deltas("incremental")
-        _, full = self._completion_push_deltas("full")
-        assert vec == inc == full
+        _, _, inc = self._completion_settles("incremental")
+        _, _, full = self._completion_settles("full")
+        assert inc == full
 
 
 class _LegacyReleaseLoop:
@@ -317,7 +378,7 @@ class TestLegacyReleaseLoopEquivalence:
     """Periodic adapter vs. the legacy loop: bit-identical, no rejections."""
 
     @pytest.mark.parametrize("variant", ["sgprs_1.5", "naive"])
-    @pytest.mark.parametrize("rearm", ["incremental", "full", "vectorised"])
+    @pytest.mark.parametrize("rearm", ["incremental", "full"])
     @pytest.mark.parametrize("jitter", [0.0, 0.1])
     def test_periodic_adapter_matches_legacy_loop(self, variant, rearm,
                                                   jitter):
@@ -330,6 +391,7 @@ class TestLegacyReleaseLoopEquivalence:
         modern = run_traced(point, rearm)
         legacy = run_traced(point, rearm, scheduler_cls=legacy_cls)
         assert canonical_trace(modern) == canonical_trace(legacy)
+        assert_recorded(modern, digest_key(point))
         # Default policy (legacy skip-if-in-flight hook) never rejects.
         assert all(r.kind != "job_reject" for r in modern.trace)
         modern_metrics = modern.metrics_summary()

@@ -1,5 +1,7 @@
 """Unit tests for the trace recorders (list-backed and columnar)."""
 
+from array import array
+
 import pytest
 
 from repro.sim.trace import (
@@ -162,8 +164,13 @@ class TestColumnarInternals:
         trace.record(1.0, "start", job=1)
         trace.record(2.0, "finish", job=1)
         trace.record(3.0, "start", job=2)
-        assert list(trace.times()) == [1.0, 2.0, 3.0]
-        assert list(trace.column("start", "job")) == [1, 2]
+        times = trace.times()
+        jobs = trace.column("start", "job")
+        assert times == array("d", [1.0, 2.0, 3.0])
+        assert jobs == array("q", [1, 2])
+        # copies: recording more leaves earlier snapshots untouched
+        trace.record(4.0, "start", job=3)
+        assert len(times) == 3 and len(jobs) == 2
 
     def test_nbytes_grows_with_events(self):
         trace = ColumnarTrace()
