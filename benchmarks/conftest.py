@@ -7,9 +7,10 @@ appends them to ``results/bench_*.txt`` so the output survives pytest's
 capture.  The fast-tier guardrails only print: a default run leaves the
 tracked ``results/`` files untouched.
 
-All benchmarks are in the ``slow`` tier (``--runslow`` to enable) and the
-sweep-shaped ones run through :mod:`repro.exp`; three environment knobs
-steer that harness without touching the code:
+The full benchmarks are in the ``slow`` tier (``--runslow`` to enable);
+a few cheap ``*_fast``/``*_smoke`` guardrails run in the fast tier too.
+The sweep-shaped benchmarks run through :mod:`repro.exp`; three
+environment knobs steer that harness without touching the code:
 
 * ``REPRO_BENCH_WORKERS`` — worker processes per sweep (default 0, serial;
   results are identical either way);

@@ -8,6 +8,7 @@ over-subscription level ``os`` in {1.0, 1.5, 2.0}, split evenly across the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -38,9 +39,10 @@ class ContextPoolConfig:
     def __post_init__(self) -> None:
         if self.num_contexts < 1:
             raise ValueError(f"num_contexts must be >= 1, got {self.num_contexts}")
-        if self.sms_per_context <= 0:
+        sms = self.sms_per_context
+        if not (math.isfinite(sms) and sms > 0):
             raise ValueError(
-                f"sms_per_context must be positive, got {self.sms_per_context}"
+                f"sms_per_context must be finite and positive, got {sms}"
             )
 
     @property
@@ -64,9 +66,10 @@ class ContextPoolConfig:
 
         ``SGPRS_1.5`` with ``np=2`` on 68 SMs gives two 51-SM contexts.
         """
-        if oversubscription <= 0:
+        if not (math.isfinite(oversubscription) and oversubscription > 0):
             raise ValueError(
-                f"oversubscription must be positive, got {oversubscription}"
+                "oversubscription must be finite and positive, got "
+                f"{oversubscription}"
             )
         return cls(
             num_contexts=num_contexts,

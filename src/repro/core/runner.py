@@ -19,7 +19,7 @@ from repro.core.sequential import SequentialScheduler, build_sequential_context
 from repro.core.sgprs import SgprsScheduler
 from repro.core.task import TaskSet
 from repro.gpu.allocator import AllocationParams
-from repro.gpu.device import REARM_MODES, GpuDevice
+from repro.gpu.device import GpuDevice
 from repro.gpu.spec import RTX_2080_TI, GpuDeviceSpec
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import MetricsCollector
@@ -56,12 +56,6 @@ class RunConfig:
     work_jitter_cv / seed:
         Per-stage execution-time jitter (see
         :class:`repro.core.scheduler.SchedulerBase`) and its seed.
-    rearm_mode:
-        Completion re-arming strategy of the device
-        (:data:`repro.gpu.device.REARM_MODES`): ``"incremental"``
-        (default) or the reference ``"full"`` re-arm-everything mode.
-        Both produce bit-identical traces; ``"full"`` exists for
-        equivalence tests and as the engine benchmark baseline.
     arrival:
         Arrival process driving releases: a spec string resolved through
         the arrivals registry (``"poisson"``, ``"mmpp:burst=6"``, ...),
@@ -85,7 +79,6 @@ class RunConfig:
     trace_backend: str = "list"
     work_jitter_cv: float = 0.0
     seed: int = 0
-    rearm_mode: str = "incremental"
     arrival: Union[str, "ArrivalProcess"] = ""
     admission: Union[str, AdmissionPolicy] = ""
 
@@ -95,11 +88,6 @@ class RunConfig:
         if not 0 <= self.warmup < self.duration:
             raise ValueError(
                 f"warmup must be in [0, duration), got {self.warmup}"
-            )
-        if self.rearm_mode not in REARM_MODES:
-            raise ValueError(
-                f"rearm_mode must be one of {REARM_MODES}, got "
-                f"{self.rearm_mode!r}"
             )
         if self.trace_backend not in TRACE_BACKENDS:
             raise ValueError(
@@ -185,7 +173,6 @@ def run_simulation(task_set: TaskSet, config: RunConfig) -> RunResult:
         contexts,
         config.allocation,
         trace=trace if config.record_trace else None,
-        rearm=config.rearm_mode,
     )
     metrics = MetricsCollector(warmup=config.warmup)
     arrivals = None

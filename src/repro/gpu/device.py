@@ -19,13 +19,10 @@ completion, abort); at every change point the device
    then needs no churn.
 
 This makes a change point O(changed) in engine heap operations instead of
-O(resident): a busy device with K resident kernels no longer pays O(K)
+O(resident): a busy device with K resident kernels does not pay O(K)
 cancels and re-pushes on every submit/complete/abort (O(K²) events per
-hyperperiod).  The reference ``rearm="full"`` mode keeps the historical
-cancel-everything/re-arm-everything behaviour — anchored at the same
-per-kernel completion times, so both modes produce bit-identical traces
-(``tests/gpu/test_trace_equivalence.py`` pins the full matrix) — and
-exists as the equivalence/benchmark baseline.
+hyperperiod).  ``tests/gpu/test_trace_equivalence.py`` pins the traces
+this produces to recorded digests.
 
 The completion callback is the scheduler's online hook (release successor
 stages, complete jobs); anything it submits or aborts is folded into the
@@ -52,11 +49,6 @@ from repro.sim.trace_kinds import ALLOCATION, KERNEL_DONE, KERNEL_START
 
 CompletionCallback = Callable[[StageKernel], None]
 
-#: Re-arming strategies: ``"incremental"`` (the default O(changed) path) and
-#: ``"full"`` (the reference re-arm-everything mode used by the
-#: trace-equivalence tests and as the benchmark baseline).
-REARM_MODES: Tuple[str, ...] = ("incremental", "full")
-
 
 class GpuDevice:
     """Rate-based execution of stage kernels on a partitioned GPU.
@@ -75,8 +67,6 @@ class GpuDevice:
     trace:
         Optional trace recorder (kinds: ``kernel_start``, ``kernel_done``,
         ``allocation``).
-    rearm:
-        Completion re-arming strategy; one of :data:`REARM_MODES`.
     """
 
     def __init__(
@@ -86,14 +76,9 @@ class GpuDevice:
         contexts: Sequence[SimContext],
         params: AllocationParams = AllocationParams(),
         trace: Optional[TraceRecorder] = None,
-        rearm: str = "incremental",
     ) -> None:
         if not contexts:
             raise ValueError("device needs at least one context")
-        if rearm not in REARM_MODES:
-            raise ValueError(
-                f"rearm must be one of {REARM_MODES}, got {rearm!r}"
-            )
         self.engine = engine
         self.spec = spec
         self.contexts = list(contexts)
@@ -104,7 +89,6 @@ class GpuDevice:
             self._context_by_id[context.context_id] = context
         self.params = params
         self.trace = trace
-        self.rearm = rearm
         self.on_kernel_complete: Optional[CompletionCallback] = None
         #: kernel_id -> (rate revision at arming, scheduled completion
         #: event or None when stalled).  The event itself carries the
@@ -261,10 +245,7 @@ class GpuDevice:
 
     def _reallocate(self) -> None:
         residency_rev = self._residency_rev()
-        if (
-            self.rearm != "full"
-            and residency_rev == self._alloc_residency_rev
-        ):
+        if residency_rev == self._alloc_residency_rev:
             # Nothing entered or left a stream since the last pass: shares,
             # rates and every armed completion event are still exact.  Only
             # the allocation trace record is emitted (from the cached
@@ -283,22 +264,10 @@ class GpuDevice:
         self._last_allocation = result
         self._alloc_residency_rev = residency_rev
         self._record_allocation(result)
-        full = self.rearm == "full"
         for kernel in self.resident_kernels():
             record = self._armed.get(kernel.kernel_id)
             if record is not None and record[0] == kernel.rate_rev:
-                if not full:
-                    # Unchanged rate: the provisional event is still exact.
-                    continue
-                # Reference mode: churn the heap anyway (tombstone +
-                # re-push), but preserve the event's (time, seq) position
-                # so same-timestamp ordering — and therefore traces — stay
-                # bit-identical to the incremental mode.
-                if record[1] is not None:
-                    self._armed[kernel.kernel_id] = (
-                        record[0],
-                        self.engine.reschedule(record[1]),
-                    )
+                # Unchanged rate: the provisional event is still exact.
                 continue
             if record is not None and record[1] is not None:
                 self.engine.cancel(record[1])

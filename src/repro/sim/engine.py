@@ -223,37 +223,6 @@ class SimulationEngine:
         ):
             self._compact()
 
-    def reschedule(self, event: Event) -> Event:
-        """Cancel ``event`` and re-push an identical copy, preserving its
-        ``(time, seq)`` heap position.
-
-        Exists for the device's reference re-arm-everything mode: the
-        re-pushed event pays the same heap churn a fresh ``schedule_at``
-        would (tombstone + push) but keeps the original FIFO tie-break, so
-        same-timestamp event order — and therefore traces — stay
-        bit-identical to the incremental mode that never touched the event.
-        The churn still counts towards :attr:`scheduled_count`.
-        """
-        if event.cancelled or event.fired:
-            raise SimulationError(
-                f"cannot reschedule {'fired' if event.fired else 'cancelled'}"
-                f" event {event.tag!r}"
-            )
-        self.cancel(event)
-        copy = Event(
-            time=event.time,
-            seq=event.seq,
-            action=event.action,
-            tag=event.tag,
-            _engine=self,
-        )
-        # count the churn; the fresh number is deliberately NOT used (the
-        # copy keeps the original seq so its tie-break position is stable)
-        self._seq += 1
-        self._scheduled += 1
-        heapq.heappush(self._heap, copy)
-        return copy
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

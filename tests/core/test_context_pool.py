@@ -34,10 +34,11 @@ class TestConfig:
     def test_invalid_counts_rejected(self):
         with pytest.raises(ValueError):
             ContextPoolConfig(num_contexts=0, sms_per_context=10.0)
-        with pytest.raises(ValueError):
-            ContextPoolConfig(num_contexts=2, sms_per_context=0.0)
-        with pytest.raises(ValueError):
-            ContextPoolConfig.from_oversubscription(2, 0.0, RTX_2080_TI)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sms_per_context"):
+                ContextPoolConfig(num_contexts=2, sms_per_context=bad)
+            with pytest.raises(ValueError, match="oversubscription"):
+                ContextPoolConfig.from_oversubscription(2, bad, RTX_2080_TI)
 
 
 class TestBuildContexts:

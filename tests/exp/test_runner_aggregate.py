@@ -87,6 +87,14 @@ class TestRunGrid:
         point = next(TINY.points())
         assert run_point(point).total_fps == run_point(point).total_fps
 
+    @pytest.mark.parametrize("variant", ["sgprs_nan", "sgprs_inf"])
+    def test_non_finite_oversubscription_rejected(self, variant):
+        import dataclasses
+
+        point = dataclasses.replace(next(TINY.points()), variant=variant)
+        with pytest.raises(ValueError, match="oversubscription"):
+            run_point(point)
+
     def test_sweep_point_matches_grid_cell_under_jitter(self):
         # the standalone entry point derives the same per-point seed as
         # the grid, so both produce bit-identical metrics

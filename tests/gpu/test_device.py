@@ -28,12 +28,11 @@ def make_kernel(label="k", work=1.0, setup=0.0, deadline=1e9,
 
 
 def make_device(num_contexts=1, sms=68.0, cap=1e9, params=IDEAL, trace=None,
-                start_time=0.0, rearm="incremental"):
+                start_time=0.0):
     engine = SimulationEngine(start_time=start_time)
     spec = GpuDeviceSpec(total_sms=68, aggregate_speedup_cap=cap)
     contexts = [SimContext(i, sms) for i in range(num_contexts)]
-    device = GpuDevice(engine, spec, contexts, params, trace=trace,
-                       rearm=rearm)
+    device = GpuDevice(engine, spec, contexts, params, trace=trace)
     done = []
     device.on_kernel_complete = lambda kernel: done.append(
         (engine.now, kernel.label)
@@ -288,14 +287,6 @@ class TestStatistics:
         with pytest.raises(ValueError, match="duplicate context id"):
             GpuDevice(engine, GpuDeviceSpec(), contexts)
 
-    def test_unknown_rearm_mode_rejected(self):
-        engine = SimulationEngine()
-        with pytest.raises(ValueError, match="rearm"):
-            GpuDevice(
-                engine, GpuDeviceSpec(), [SimContext(0, 34.0)],
-                rearm="bogus",
-            )
-
 
 class TestIncrementalRearm:
     def test_unchanged_cross_context_rate_keeps_event(self):
@@ -307,18 +298,6 @@ class TestIncrementalRearm:
         scheduled_before = engine.scheduled_count
         device.submit(make_kernel("b", work=1.0), contexts[1])
         assert engine.scheduled_count == scheduled_before + 1
-        engine.run()
-        assert len(done) == 2
-
-    def test_full_mode_rearms_everything(self):
-        engine, device, contexts, done = make_device(
-            num_contexts=2, sms=34.0, rearm="full"
-        )
-        device.submit(make_kernel("a", work=1.0), contexts[0])
-        scheduled_before = engine.scheduled_count
-        device.submit(make_kernel("b", work=1.0), contexts[1])
-        # reference mode churns: re-push for "a" plus the new event for "b"
-        assert engine.scheduled_count == scheduled_before + 2
         engine.run()
         assert len(done) == 2
 

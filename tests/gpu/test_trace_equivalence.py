@@ -1,34 +1,24 @@
-"""Trace equivalence: both completion re-arm modes vs. each other and vs.
-recorded trace digests.
+"""Trace equivalence against recorded trace digests.
 
-The incremental device (``rearm="incremental"``, the default) re-arms a
-kernel's provisional completion event only when its rate revision moved and
-skips the allocation pass entirely when the resident set is untouched.  The
-reference mode (``rearm="full"``) cancels and re-pushes every resident
-kernel's event at every change point — the historical O(K)-per-settle
-behaviour.
+The device re-arms a kernel's provisional completion event only when its
+rate revision moved and skips the allocation pass entirely when the
+resident set is untouched (see :mod:`repro.gpu.device`).  These tests pin
+what that produces: for every named scenario, scheduler variant,
+replication seed and jitter setting, the canonical trace (every record's
+exact float timestamp, kind and payload) must hash to the sha256 recorded
+in ``tests/golden/trace_digests.json``.  The fast tier runs a one-seed
+slice on every push; the full matrix (all named scenarios x 3 seeds x
+jitter on/off x both scheduler families) runs in the slow tier.
 
-These tests pin the optimisation's whole correctness claim: for every named
-scenario, scheduler variant, replication seed and jitter setting, both
-modes must produce **bit-identical** :class:`TraceRecorder` output (every
-record's exact float timestamp, kind and payload) and identical steady-state
-metrics.  The fast tier runs a one-seed slice on every push; the full
-acceptance matrix (all named scenarios x 3 seeds x jitter on/off x both
-scheduler families x both modes) runs in the slow tier.
-
-Both modes run the same :func:`~repro.gpu.allocator.compute_allocation`, so
-a fault there would move both traces alike and the cross-mode comparison
-would still pass.  Every point's trace is therefore also pinned to a sha256
-in ``tests/golden/trace_digests.json``, recorded before the modes came to
-share the allocator's speedup memo.  The digest hashes the canonical
-tuples (exact float reprs), not the on-disk bytes, so a trace-format
-change does not churn it.  A change that moves a trace on purpose names
-the bug it fixes and replaces the entries its failing assertions print.
+The digest hashes the canonical tuples (exact float reprs), not the
+on-disk bytes, so a trace-format change does not churn it.  A change that
+moves a trace on purpose names the bug it fixes and replaces the entries
+its failing assertions print.
 
 ``TestCeilingBoundRearm`` additionally pins the settle's exact cost in the
 ceiling-bound regime (aggregate cap saturated, every settle a uniform
-rescale): the incremental mode re-arms every resident kernel, while the
-allocator evaluates speedup curves only for kernels whose share moved.
+rescale): the device re-arms every resident kernel, while the allocator
+evaluates speedup curves only for kernels whose share moved.
 """
 
 import functools
@@ -67,8 +57,8 @@ DIGESTS_PATH = (
 )
 
 
-def run_traced(point: GridPoint, rearm_mode: str, scheduler_cls=None):
-    """One fully-traced run of a grid point under a re-arm mode.
+def run_traced(point: GridPoint, scheduler_cls=None):
+    """One fully-traced run of a grid point.
 
     Mirrors :func:`repro.exp.worker.run_point`'s taskset construction, but
     keeps the trace (the sweep path deliberately drops it).
@@ -102,7 +92,6 @@ def run_traced(point: GridPoint, rearm_mode: str, scheduler_cls=None):
             record_trace=True,
             work_jitter_cv=point.work_jitter_cv,
             seed=point.seed,
-            rearm_mode=rearm_mode,
             arrival=point.arrival,
             admission=point.admission,
         ),
@@ -151,12 +140,11 @@ def assert_recorded(result, key: str):
     )
 
 
-def assert_equivalent(point: GridPoint, scheduler_cls=None):
-    incremental = run_traced(point, "incremental", scheduler_cls)
-    reference = run_traced(point, "full", scheduler_cls)
-    assert canonical_trace(incremental) == canonical_trace(reference)
-    assert incremental.metrics_summary() == reference.metrics_summary()
-    assert_recorded(incremental, digest_key(point, scheduler_cls))
+def assert_point_recorded(point: GridPoint, scheduler_cls=None):
+    """Run ``point`` traced and check it against its recorded digest."""
+    assert_recorded(
+        run_traced(point, scheduler_cls), digest_key(point, scheduler_cls)
+    )
 
 
 def make_point(scenario, num_contexts, workload, variant, seed, jitter,
@@ -183,7 +171,7 @@ class TestFastSlice:
     @pytest.mark.parametrize("jitter", [0.0, 0.1])
     def test_sgprs_trace_equivalence(self, scenario, num_contexts, workload,
                                      jitter):
-        assert_equivalent(
+        assert_point_recorded(
             make_point(scenario, num_contexts, workload, "sgprs_1.5",
                        seed=0, jitter=jitter, num_tasks=5, duration=0.8)
         )
@@ -194,7 +182,7 @@ class TestFastSlice:
     def test_naive_trace_equivalence(self, scenario, num_contexts, workload):
         # The naive baseline pays partition-reconfiguration setup time, the
         # one path where completion times mix setup and rate-based work.
-        assert_equivalent(
+        assert_point_recorded(
             make_point(scenario, num_contexts, workload, "naive",
                        seed=0, jitter=0.1, num_tasks=5, duration=0.8)
         )
@@ -230,7 +218,7 @@ class TestSheddingEquivalence:
     def test_shedding_run_is_equivalent(self, jitter):
         point = make_point("scenario1", 2, "identical", "sgprs_1.5",
                            seed=3, jitter=jitter, num_tasks=8, duration=0.8)
-        assert_equivalent(point, scheduler_cls=SheddingSgprs)
+        assert_point_recorded(point, scheduler_cls=SheddingSgprs)
 
 
 class _CountingCurve:
@@ -259,15 +247,14 @@ class TestCeilingBoundRearm:
     """
 
     @staticmethod
-    def _completion_settles(rearm):
+    def _completion_settles():
         """Heap pushes and curve evaluations per completion settle, plus
         the completion order."""
         engine = SimulationEngine()
         spec = GpuDeviceSpec(total_sms=68, aggregate_speedup_cap=10.0)
         contexts = [SimContext(i, 17.0) for i in range(4)]
         device = GpuDevice(
-            engine, spec, contexts,
-            AllocationParams(alpha=0.0, beta=0.0), rearm=rearm,
+            engine, spec, contexts, AllocationParams(alpha=0.0, beta=0.0)
         )
         completions = []
         device.on_kernel_complete = lambda kernel: completions.append(
@@ -303,24 +290,18 @@ class TestCeilingBoundRearm:
         return pushes, evaluations, completions
 
     def test_incremental_rearms_every_survivor(self):
-        pushes, _, completions = self._completion_settles("incremental")
+        pushes, _, completions = self._completion_settles()
         assert len(completions) == 16
         # After the k-th completion, all (16 - k) survivors changed rate
         # under the saturated ceiling and must each be re-armed.
         assert pushes == [16 - k for k in range(1, 17)]
 
     def test_settle_evaluates_only_moved_shares(self):
-        for rearm in ("incremental", "full"):
-            _, evaluations, _ = self._completion_settles(rearm)
-            # The contexts drain one after another; each settle evaluates
-            # only the survivors of the context that lost a kernel, not
-            # all 15, 14, ..., 0 survivors whose rate moved.
-            assert evaluations == [3, 2, 1, 0] * 4, rearm
-
-    def test_ceiling_bound_modes_complete_identically(self):
-        _, _, inc = self._completion_settles("incremental")
-        _, _, full = self._completion_settles("full")
-        assert inc == full
+        _, evaluations, _ = self._completion_settles()
+        # The contexts drain one after another; each settle evaluates only
+        # the survivors of the context that lost a kernel, not all 15, 14,
+        # ..., 0 survivors whose rate moved.
+        assert evaluations == [3, 2, 1, 0] * 4
 
 
 class _LegacyReleaseLoop:
@@ -378,18 +359,16 @@ class TestLegacyReleaseLoopEquivalence:
     """Periodic adapter vs. the legacy loop: bit-identical, no rejections."""
 
     @pytest.mark.parametrize("variant", ["sgprs_1.5", "naive"])
-    @pytest.mark.parametrize("rearm", ["incremental", "full"])
     @pytest.mark.parametrize("jitter", [0.0, 0.1])
-    def test_periodic_adapter_matches_legacy_loop(self, variant, rearm,
-                                                  jitter):
+    def test_periodic_adapter_matches_legacy_loop(self, variant, jitter):
         point = make_point("scenario1", 2, "identical", variant,
                            seed=0, jitter=jitter, num_tasks=5, duration=0.8)
         base_cls, _, _ = resolve_variant(variant)
         legacy_cls = type(
             f"Legacy{base_cls.__name__}", (_LegacyReleaseLoop, base_cls), {}
         )
-        modern = run_traced(point, rearm)
-        legacy = run_traced(point, rearm, scheduler_cls=legacy_cls)
+        modern = run_traced(point)
+        legacy = run_traced(point, scheduler_cls=legacy_cls)
         assert canonical_trace(modern) == canonical_trace(legacy)
         assert_recorded(modern, digest_key(point))
         # Default policy (legacy skip-if-in-flight hook) never rejects.
@@ -409,16 +388,15 @@ class TestLegacyReleaseLoopEquivalence:
         import dataclasses
 
         explicit = dataclasses.replace(point, arrival="periodic")
-        assert (
-            canonical_trace(run_traced(point, "incremental"))
-            == canonical_trace(run_traced(explicit, "incremental"))
+        assert canonical_trace(run_traced(point)) == canonical_trace(
+            run_traced(explicit)
         )
 
 
 @pytest.mark.slow
 class TestFullMatrix:
-    """The acceptance matrix: all named scenarios x 3 seeds x jitter on/off
-    x both scheduler families, bit-identical traces throughout."""
+    """The full matrix: all named scenarios x 3 seeds x jitter on/off x
+    both scheduler families, every trace pinned to its recorded digest."""
 
     @pytest.mark.parametrize(
         "scenario,num_contexts,workload", NAMED_SCENARIOS
@@ -428,7 +406,7 @@ class TestFullMatrix:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_trace_equivalence(self, scenario, num_contexts, workload,
                                variant, jitter, seed):
-        assert_equivalent(
+        assert_point_recorded(
             make_point(scenario, num_contexts, workload, variant,
                        seed=seed, jitter=jitter, num_tasks=6, duration=1.2)
         )

@@ -166,41 +166,6 @@ class TestCancellation:
         assert engine.pending_count == 1
 
 
-class TestReschedule:
-    def test_reschedule_preserves_tie_break(self):
-        # a was scheduled before b; rescheduling a must not demote it
-        # behind b at their shared timestamp
-        engine = SimulationEngine()
-        fired = []
-        a = engine.schedule(1.0, lambda: fired.append("a"))
-        engine.schedule(1.0, lambda: fired.append("b"))
-        engine.reschedule(a)
-        engine.run()
-        assert fired == ["a", "b"]
-
-    def test_reschedule_counts_churn_and_tombstones(self):
-        engine = SimulationEngine()
-        event = engine.schedule(1.0, lambda: None)
-        before = engine.scheduled_count
-        engine.reschedule(event)
-        assert engine.scheduled_count == before + 1
-        assert engine.pending_count == 1  # old copy is a tombstone
-        assert engine.heap_size == 2
-
-    def test_reschedule_fired_or_cancelled_rejected(self):
-        from repro.sim.engine import SimulationError
-
-        engine = SimulationEngine()
-        fired_event = engine.schedule(1.0, lambda: None)
-        engine.run()
-        with pytest.raises(SimulationError):
-            engine.reschedule(fired_event)
-        cancelled_event = engine.schedule(1.0, lambda: None)
-        engine.cancel(cancelled_event)
-        with pytest.raises(SimulationError):
-            engine.reschedule(cancelled_event)
-
-
 class TestCompaction:
     def test_tombstone_majority_triggers_compaction(self):
         engine = SimulationEngine()

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.context_pool import ContextPoolConfig
 from repro.core.runner import RunConfig, run_simulation
-from repro.gpu.device import REARM_MODES
 from repro.gpu.spec import RTX_2080_TI
 from repro.sim.trace import TraceRecorder
 from repro.sim.trace_columnar import ColumnarTrace
@@ -20,7 +19,7 @@ from repro.sim.trace_io import (
 )
 
 
-def traced_run(rearm_mode="incremental", seed=0, trace_backend="columnar"):
+def traced_run(seed=0, trace_backend="columnar"):
     """A short overloaded run that exercises every trace kind."""
     pool = ContextPoolConfig.from_oversubscription(2, 1.0, RTX_2080_TI)
     from repro.workloads.generator import identical_periodic_tasks
@@ -34,7 +33,6 @@ def traced_run(rearm_mode="incremental", seed=0, trace_backend="columnar"):
             warmup=0.1,
             record_trace=True,
             trace_backend=trace_backend,
-            rearm_mode=rearm_mode,
             work_jitter_cv=0.1,
             seed=seed,
         ),
@@ -44,12 +42,9 @@ def traced_run(rearm_mode="incremental", seed=0, trace_backend="columnar"):
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("rearm_mode", REARM_MODES)
-    def test_simulation_trace_round_trips(self, rearm_mode, seed):
-        trace = traced_run(rearm_mode=rearm_mode, seed=seed)
-        listed = traced_run(
-            rearm_mode=rearm_mode, seed=seed, trace_backend="list"
-        )
+    def test_simulation_trace_round_trips(self, seed):
+        trace = traced_run(seed=seed)
+        listed = traced_run(seed=seed, trace_backend="list")
         # both recorders observe the same run identically: records,
         # kind histogram and of_kind query results all agree
         assert list(trace) == list(listed)
