@@ -198,20 +198,10 @@ def run_simulation(task_set: TaskSet, config: RunConfig) -> RunResult:
     now = engine.now
     return RunResult(
         config=config,
-        total_fps=metrics.total_fps(now),
-        dmr=metrics.deadline_miss_rate(now),
         per_task_fps=metrics.per_task_fps(now),
-        released=metrics.released_count(),
-        completed=metrics.completed_count(),
         utilization=device.utilization(now),
         mean_pressure=device.mean_pressure(now),
         metrics=metrics,
         trace=trace if config.record_trace else None,
-        goodput=metrics.goodput(now),
-        rejection_rate=metrics.rejection_rate(now),
-        rejected=metrics.rejected_count(),
-        p99_response=metrics.response_time_percentile(0.99),
-        p999_response=metrics.response_time_percentile(0.999),
-        mean_queue_depth=metrics.mean_queue_depth(now),
-        max_queue_depth=metrics.max_queue_depth(now),
+        **metrics.summary(now),
     )

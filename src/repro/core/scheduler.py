@@ -280,8 +280,8 @@ class SchedulerBase:
         job = JobInstance(task, index, now)
         self.metrics.job_released(task.name, index, now, job.absolute_deadline)
         if self.trace is not None:
-            # deadline rides along so streaming consumers
-            # (TraceMetricsAccumulator) can score DMR without the workload
+            # deadline rides along so the trace replay
+            # (metrics_from_trace) can score DMR without the workload
             self.trace.record(
                 now,
                 JOB_RELEASE,

@@ -15,19 +15,14 @@ TraceRecorder / ColumnarTrace
 write_trace / read_trace
     Compact on-disk trace format (:mod:`repro.sim.trace_io`).
 MetricsCollector / JobRecord
-    Real-time metrics: total FPS, deadline miss rate, response times.
-TraceMetricsAccumulator
-    Streaming FPS/DMR/tail/queue-depth accumulation from a trace stream.
+    Real-time metrics: total FPS, deadline miss rate, response times,
+    fed live by the scheduler or by replaying a trace
+    (:func:`repro.sim.metrics.metrics_from_trace`).
 """
 
 from repro.sim.clock import TIME_EPS, times_close
 from repro.sim.engine import Event, SimulationEngine, SimulationError
-from repro.sim.metrics import (
-    JobRecord,
-    MetricsCollector,
-    StageRecord,
-    TraceMetricsAccumulator,
-)
+from repro.sim.metrics import JobRecord, MetricsCollector, StageRecord
 from repro.sim.trace import (
     TRACE_BACKENDS,
     TraceRecord,
@@ -54,7 +49,6 @@ __all__ = [
     "JobRecord",
     "StageRecord",
     "MetricsCollector",
-    "TraceMetricsAccumulator",
     "TraceRecord",
     "TraceRecorder",
     "ColumnarTrace",

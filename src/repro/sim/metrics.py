@@ -21,15 +21,22 @@ The open-system arrivals subsystem (:mod:`repro.workloads.arrivals` +
 * **Queue depth** — time-weighted mean and max of the number of admitted
   jobs in flight, fed by the scheduler's admission accounting.
 
-All are computed from per-job :class:`JobRecord` entries collected by a
-:class:`MetricsCollector`.  Stage-level records are kept as well so the
-scheduler's virtual-deadline behaviour can be analysed.
+All are defined once, on :class:`MetricsCollector`, from its per-job
+:class:`JobRecord` entries; :meth:`MetricsCollector.summary` is the
+scalar record a run reports.  The collector is fed in one of two ways:
+live, by the scheduler during a run, or after the fact by
+:func:`metrics_from_trace`, which replays a trace's ``job_*`` records as
+the same calls.  A trace does not say whether a release was admitted;
+the replay reads it from record adjacency: the scheduler emits a
+release's ``job_skip``/``job_reject`` before any other record, so a
+release followed by anything else was admitted.  Stage-level records are
+kept as well so the scheduler's virtual-deadline behaviour can be
+analysed.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -42,23 +49,7 @@ from repro.sim.trace_kinds import (
 )
 
 
-def nearest_rank(sorted_values: List[float], fraction: float) -> Optional[float]:
-    """Ceil-based nearest-rank percentile of a pre-sorted sample.
-
-    The value at 1-based rank ``ceil(fraction * n)`` (fraction 0 maps to
-    the minimum); ``None`` on an empty sample.  Shared by
-    :class:`MetricsCollector` and :class:`TraceMetricsAccumulator` so the
-    in-process and trace-streamed tails use one definition.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    if not sorted_values:
-        return None
-    rank = max(1, math.ceil(fraction * len(sorted_values)))
-    return sorted_values[rank - 1]
-
-
-@dataclass
+@dataclass(slots=True)
 class JobRecord:
     """Lifecycle of one released job instance.
 
@@ -97,7 +88,7 @@ class JobRecord:
         return self.finish_time - self.release_time
 
 
-@dataclass
+@dataclass(slots=True)
 class StageRecord:
     """Lifecycle of one stage instance within a job."""
 
@@ -155,6 +146,9 @@ class MetricsCollector:
         self, task_name: str, job_index: int, release_time: float, deadline: float
     ) -> JobRecord:
         """Record a new job release and return its record."""
+        key = (task_name, job_index)
+        if key in self._job_index:
+            raise ValueError(f"job {key} released twice")
         record = JobRecord(
             task_name=task_name,
             job_index=job_index,
@@ -162,7 +156,7 @@ class MetricsCollector:
             absolute_deadline=deadline,
         )
         self.jobs.append(record)
-        self._job_index[(task_name, job_index)] = record
+        self._job_index[key] = record
         return record
 
     def job_completed(self, task_name: str, job_index: int, finish_time: float) -> None:
@@ -175,6 +169,11 @@ class MetricsCollector:
             raise ValueError(f"job {key} completed twice")
         if record.rejected:
             raise ValueError(f"job {key} completed after being rejected")
+        if finish_time < record.release_time:
+            raise ValueError(
+                f"job {key} completed at {finish_time} before its release "
+                f"at {record.release_time}"
+            )
         record.finish_time = finish_time
 
     def job_rejected(self, task_name: str, job_index: int) -> None:
@@ -331,7 +330,12 @@ class MetricsCollector:
         between adjacent ranks as the sample count changed; the ceil
         definition is monotone in ``fraction`` and stable.
         """
-        return nearest_rank(self.response_times(), fraction)
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+        values = self.response_times()
+        if not values:
+            return None
+        return values[max(1, math.ceil(fraction * len(values))) - 1]
 
     def rejection_rate(self, now: float) -> float:
         """Fraction of post-warmup releases refused by admission control.
@@ -430,200 +434,78 @@ class MetricsCollector:
         """Total jobs completed (including during warmup)."""
         return sum(1 for job in self.jobs if job.finish_time is not None)
 
+    def summary(self, now: float) -> Dict[str, object]:
+        """The run-level scalar metrics at ``now``, by result field name.
 
-class TraceMetricsAccumulator:
-    """Streaming FPS/DMR/tail/queue-depth accumulation from a trace stream.
-
-    Feeds on trace records (either recorder backend, or records decoded
-    straight off a :mod:`repro.sim.trace_io` file) in time order and
-    reproduces :class:`MetricsCollector`'s steady-state numbers without
-    ever materialising the trace: resident state is one pending
-    admission decision, the in-flight job dict, and packed per-job
-    arrays (response times, decided deadlines) — O(jobs), never
-    O(trace records).  Queue depth is integrated on the fly, so the
-    step function is not retained at all.
-
-    The accumulator consumes the ``job_*`` lifecycle kinds
-    (``job_release`` — which must carry the ``deadline`` field —
-    ``job_skip``, ``job_reject``, ``job_complete``, ``job_shed``) and
-    ignores every other kind, so it can be fed a full trace or a
-    kind-filtered one.  Admission is inferred from record adjacency: a
-    release's ``job_skip``/``job_reject`` is emitted before any other
-    record of that job, so a release followed by anything else was
-    admitted.
-
-    Usage::
-
-        acc = TraceMetricsAccumulator(warmup=2.0)
-        for record in read_trace(path):   # lazy views, one at a time
-            acc.feed(record)
-        summary = acc.finalize(now=duration)
-    """
-
-    def __init__(self, warmup: float = 0.0) -> None:
-        self.warmup = warmup
-        #: (task, job) -> (release_time, deadline) of admitted, in-flight jobs.
-        self._open: Dict[Tuple[str, int], Tuple[float, float]] = {}
-        #: The release awaiting its admission outcome (see class docstring).
-        self._pending: Optional[Tuple[Tuple[str, int], float, float]] = None
-        self._released_total = 0
-        self._completed_total = 0
-        self._released_post = 0
-        self._rejected_total = 0
-        self._rejected_post = 0
-        #: Response times of completed post-warmup-released jobs.
-        self._responses = array("d")
-        #: (deadline, missed) of completed post-warmup jobs, for DMR.
-        self._completed_deadlines = array("d")
-        self._completed_missed = array("b")
-        #: Deadlines of post-warmup jobs shed without completing.
-        self._unfinished_deadlines = array("d")
-        # queue-depth integration state
-        self._depth = 0
-        self._last_step = 0.0
-        self._carried = 0
-        self._weighted = 0.0
-        self._peak = 0
-        self._any_step = False
-
-    # ------------------------------------------------------------------
-    # Feeding
-    # ------------------------------------------------------------------
-    def feed(self, record) -> None:
-        """Consume one trace record (records must arrive in time order)."""
-        kind = record.kind
-        if kind == JOB_RELEASE:
-            self._resolve_pending()
-            key = (record.get("task"), record.get("job"))
-            deadline = record.get("deadline")
-            if deadline is None:
-                raise ValueError(
-                    "job_release record lacks the 'deadline' field; "
-                    "trace predates the streaming-metrics format"
-                )
-            self._released_total += 1
-            if record.time >= self.warmup:
-                self._released_post += 1
-            self._pending = (key, record.time, deadline)
-            return
-        if kind in (JOB_SKIP, JOB_REJECT):
-            key = (record.get("task"), record.get("job"))
-            if self._pending is not None and self._pending[0] == key:
-                _, release, deadline = self._pending
-                self._pending = None
-                if kind == JOB_REJECT:
-                    # rejections feed the rejection rate, never DMR
-                    self._rejected_total += 1
-                    if release >= self.warmup:
-                        self._rejected_post += 1
-                elif release >= self.warmup:
-                    # a source-skipped frame is a decided deadline miss
-                    self._unfinished_deadlines.append(deadline)
-                return
-        self._resolve_pending()
-        if kind == JOB_COMPLETE:
-            key = (record.get("task"), record.get("job"))
-            entry = self._open.pop(key, None)
-            self._completed_total += 1
-            self._step_depth(record.time, self._depth - 1)
-            if entry is not None and entry[0] >= self.warmup:
-                release, deadline = entry
-                self._responses.append(record.time - release)
-                self._completed_deadlines.append(deadline)
-                self._completed_missed.append(
-                    1 if record.time > deadline else 0
-                )
-        elif kind == JOB_SHED:
-            key = (record.get("task"), record.get("job"))
-            entry = self._open.pop(key, None)
-            self._step_depth(record.time, self._depth - 1)
-            if entry is not None and entry[0] >= self.warmup:
-                self._unfinished_deadlines.append(entry[1])
-
-    def _resolve_pending(self) -> None:
-        """Commit the held release as admitted (nothing refused it)."""
-        if self._pending is None:
-            return
-        key, release, deadline = self._pending
-        self._pending = None
-        self._open[key] = (release, deadline)
-        self._step_depth(release, self._depth + 1)
-
-    def _step_depth(self, time: float, depth: int) -> None:
-        depth = max(depth, 0)
-        if time > self.warmup:
-            start = max(self._last_step, self.warmup)
-            if time > start:
-                self._weighted += self._depth * (time - start)
-            self._peak = max(self._peak, depth)
-        else:
-            self._carried = depth
-        self._depth = depth
-        self._last_step = time
-        self._any_step = True
-
-    # ------------------------------------------------------------------
-    # Finalisation
-    # ------------------------------------------------------------------
-    def finalize(self, now: float) -> Dict[str, object]:
-        """Steady-state metrics at ``now`` (must be >= the last record).
-
-        Returns the same keys :meth:`RunResult.metrics_summary` ships
-        for the corresponding metrics; safe to call repeatedly (the
-        accumulated state is not consumed).
+        :func:`~repro.core.runner.run_simulation` builds its
+        :class:`~repro.core.runner.RunResult` from this record and
+        :func:`metrics_from_trace` returns it, so the list exists once.
         """
-        self._resolve_pending()
-        window = now - self.warmup
-        decided = missed = 0
-        for deadline, was_missed in zip(
-            self._completed_deadlines, self._completed_missed
-        ):
-            if deadline <= now:
-                decided += 1
-                missed += was_missed
-        for deadline in self._unfinished_deadlines:
-            if deadline <= now:
-                decided += 1
-                missed += 1
-        for release, deadline in self._open.values():
-            if release >= self.warmup and deadline <= now:
-                decided += 1
-                missed += 1
-        completed_post = len(self._responses)
-        good = sum(1 for was_missed in self._completed_missed if not was_missed)
-        responses = sorted(self._responses)
-        if window > 0.0 and self._any_step:
-            tail_start = max(self._last_step, self.warmup)
-            weighted = self._weighted + self._depth * max(
-                now - tail_start, 0.0
-            )
-            mean_depth = weighted / window
-        else:
-            mean_depth = 0.0
         return {
-            "total_fps": completed_post / window if window > 0.0 else 0.0,
-            "dmr": missed / decided if decided else 0.0,
-            "goodput": good / window if window > 0.0 else 0.0,
-            "rejection_rate": (
-                self._rejected_post / self._released_post
-                if self._released_post
-                else 0.0
-            ),
-            "released": self._released_total,
-            "completed": self._completed_total,
-            "rejected": self._rejected_total,
-            "p99_response": nearest_rank(responses, 0.99),
-            "p999_response": nearest_rank(responses, 0.999),
-            "mean_queue_depth": mean_depth,
-            "max_queue_depth": max(self._peak, self._carried),
+            "total_fps": self.total_fps(now),
+            "dmr": self.deadline_miss_rate(now),
+            "goodput": self.goodput(now),
+            "rejection_rate": self.rejection_rate(now),
+            "released": self.released_count(),
+            "completed": self.completed_count(),
+            "rejected": self.rejected_count(),
+            "p99_response": self.response_time_percentile(0.99),
+            "p999_response": self.response_time_percentile(0.999),
+            "mean_queue_depth": self.mean_queue_depth(now),
+            "max_queue_depth": self.max_queue_depth(now),
         }
 
 
 def metrics_from_trace(
     records: Iterable, warmup: float, now: float
 ) -> Dict[str, object]:
-    """One-shot streaming accumulation over any trace-record iterable."""
-    accumulator = TraceMetricsAccumulator(warmup=warmup)
+    """Replay a trace's ``job_*`` records into a fresh collector.
+
+    Takes either recorder backend, or records decoded straight off a
+    :mod:`repro.sim.trace_io` file, in time order; other kinds only close
+    a pending release (see the module docstring's adjacency rule).  Each
+    record becomes the collector call the scheduler made live, so the
+    result is :meth:`MetricsCollector.summary` of the original run.  A
+    ``job_skip`` makes no call: the job stays released and unfinished, a
+    miss once its deadline passes.  Malformed histories fail loudly: a
+    ``job_release`` without its ``deadline`` field, a skip or rejection
+    that does not follow its release, and whatever the collector itself
+    refuses (unknown or twice-released jobs, time running backwards).
+    """
+    metrics = MetricsCollector(warmup=warmup)
+    depth = 0
+    #: ``(task, job, release time)`` of the release awaiting its outcome.
+    pending: Optional[Tuple[str, int, float]] = None
     for record in records:
-        accumulator.feed(record)
-    return accumulator.finalize(now)
+        kind = record.kind
+        if kind in (JOB_SKIP, JOB_REJECT):
+            key = (record.get("task"), record.get("job"))
+            if pending is None or pending[:2] != key:
+                raise ValueError(f"{kind} for job {key} does not follow its release")
+            if kind == JOB_REJECT:
+                metrics.job_rejected(*key)
+            pending = None
+            continue
+        if pending is not None:
+            depth += 1
+            metrics.record_queue_depth(pending[2], depth)
+            pending = None
+        if kind == JOB_RELEASE:
+            deadline = record.get("deadline")
+            if deadline is None:
+                raise ValueError(
+                    "job_release record lacks the 'deadline' field; "
+                    "trace predates the trace-replay format"
+                )
+            pending = (record.get("task"), record.get("job"), record.time)
+            metrics.job_released(*pending, deadline)
+        elif kind in (JOB_COMPLETE, JOB_SHED):
+            if kind == JOB_COMPLETE:
+                metrics.job_completed(
+                    record.get("task"), record.get("job"), record.time
+                )
+            depth -= 1
+            metrics.record_queue_depth(record.time, depth)
+    if pending is not None:
+        metrics.record_queue_depth(pending[2], depth + 1)
+    return metrics.summary(now)

@@ -3,7 +3,7 @@
 Every event category a :class:`~repro.sim.trace.TraceRecorder` ever sees
 is named here, once.  Emit sites (:mod:`repro.core.scheduler`,
 :mod:`repro.gpu.device`) and consume sites
-(:class:`~repro.sim.metrics.TraceMetricsAccumulator`,
+(:func:`~repro.sim.metrics.metrics_from_trace`,
 :mod:`repro.analysis.timeline`) import these constants instead of
 spelling the strings out; the ``S001`` rule of ``python -m repro lint``
 (:mod:`repro.devtools.lint`) flags any bare kind literal inside

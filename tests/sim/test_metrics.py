@@ -60,6 +60,20 @@ class TestCollectorLifecycle:
         with pytest.raises(ValueError):
             metrics.job_completed("a", 0, 0.6)
 
+    def test_double_release_raises(self):
+        metrics = MetricsCollector()
+        metrics.job_released("a", 0, 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"\('a', 0\) released twice"):
+            metrics.job_released("a", 0, 0.0, 1.0)
+        assert metrics.released_count() == 1
+
+    def test_completion_before_release_raises(self):
+        metrics = MetricsCollector()
+        metrics.job_released("a", 0, 1.0, 2.0)
+        with pytest.raises(ValueError, match=r"\('a', 0\) completed at 0.4"):
+            metrics.job_completed("a", 0, 0.4)
+        assert metrics.completed_count() == 0
+
     def test_released_count(self):
         metrics = MetricsCollector()
         for index in range(3):
@@ -344,7 +358,7 @@ class TestRejectionAccounting:
         metrics.job_released("a", 1, 3.0, 4.0)  # admitted, not rejected
         assert metrics.rejection_rate(3.0) == 0.5
         # now below every release: population is still release-based, not
-        # clock-based, matching TraceMetricsAccumulator.finalize().
+        # clock-based (rejections are decided at release).
         assert metrics.rejection_rate(0.9) == 0.5
 
     def test_reject_unknown_job_raises(self):

@@ -1,11 +1,12 @@
-"""Streaming trace-metric accumulation matches the live collector.
+"""Trace replay reproduces the live collector exactly.
 
-:class:`TraceMetricsAccumulator` recomputes the steady-state metrics
-from a trace stream alone; every scenario here runs a real simulation
-twice through the same numbers — once live (MetricsCollector inside the
-run) and once streamed (feeding the recorded trace) — and demands they
-agree to float precision, including under admission control where
-releases can be rejected or queued.
+:func:`metrics_from_trace` feeds a trace's ``job_*`` records into a fresh
+:class:`MetricsCollector`, so there is one definition of every metric.
+Each real scenario here runs a simulation once and demands the replay of
+its trace equal the live result exactly, including under admission
+control where releases can be rejected or queued.  The hand-built traces
+pin the replay's calls against a collector fed the matching live calls,
+and its refusal of impossible histories.
 """
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from repro.core.context_pool import ContextPoolConfig
 from repro.core.runner import RunConfig, run_simulation
 from repro.gpu.spec import RTX_2080_TI
-from repro.sim.metrics import TraceMetricsAccumulator, metrics_from_trace
+from repro.sim.metrics import MetricsCollector, metrics_from_trace
 from repro.sim.trace import TraceRecord
 from repro.workloads.generator import identical_periodic_tasks
 
@@ -28,7 +29,7 @@ SCENARIOS = [
 ]
 
 
-def run_traced(num_tasks, trace_backend, **kwargs):
+def run_traced(num_tasks, **kwargs):
     pool = ContextPoolConfig.from_oversubscription(2, 1.0, RTX_2080_TI)
     tasks = identical_periodic_tasks(
         num_tasks, nominal_sms=pool.sms_per_context
@@ -40,72 +41,106 @@ def run_traced(num_tasks, trace_backend, **kwargs):
             duration=DURATION,
             warmup=WARMUP,
             record_trace=True,
-            trace_backend=trace_backend,
+            trace_backend="columnar",
             **kwargs,
         ),
     )
 
 
-def assert_matches_summary(streamed, summary):
-    for key, value in streamed.items():
-        reference = summary[key]
-        if reference is None or value is None:
-            assert value == reference, key
-        else:
-            assert value == pytest.approx(reference, abs=1e-9), key
+def live_summary(result, replayed):
+    summary = result.metrics_summary()
+    return {key: summary[key] for key in replayed}
+
+
+def rec(time, kind, **fields):
+    return TraceRecord(time, kind, fields)
 
 
 class TestAccumulatorEquivalence:
-    @pytest.mark.parametrize("trace_backend", ["list", "columnar"])
+    """The replay accumulates into a collector exactly as the run did."""
+
     @pytest.mark.parametrize(
         "num_tasks,kwargs",
         [s[1:] for s in SCENARIOS],
         ids=[s[0] for s in SCENARIOS],
     )
-    def test_matches_live_collector(self, num_tasks, kwargs, trace_backend):
-        result = run_traced(num_tasks, trace_backend, **kwargs)
-        streamed = metrics_from_trace(result.trace, WARMUP, DURATION)
-        summary = result.metrics_summary()
-        assert streamed["released"] > 0
-        assert_matches_summary(streamed, summary)
+    def test_matches_live_collector(self, num_tasks, kwargs):
+        result = run_traced(num_tasks, **kwargs)
+        replayed = metrics_from_trace(result.trace, WARMUP, DURATION)
+        assert replayed["released"] > 0
+        assert replayed == live_summary(result, replayed)
 
     def test_survives_disk_round_trip(self):
         from repro.sim.trace_io import trace_from_bytes, trace_to_bytes
 
-        result = run_traced(20, "columnar")
+        result = run_traced(20)
         rebuilt = trace_from_bytes(trace_to_bytes(result.trace))
-        streamed = metrics_from_trace(rebuilt, WARMUP, DURATION)
-        assert_matches_summary(streamed, result.metrics_summary())
+        replayed = metrics_from_trace(rebuilt, WARMUP, DURATION)
+        assert replayed == live_summary(result, replayed)
 
-    def test_incremental_feed_equals_one_shot(self):
-        result = run_traced(20, "columnar")
-        accumulator = TraceMetricsAccumulator(warmup=WARMUP)
-        for record in result.trace:
-            accumulator.feed(record)
-        assert accumulator.finalize(DURATION) == metrics_from_trace(
-            result.trace, WARMUP, DURATION
-        )
+    def test_open_job_with_deadline_at_now_is_undecided_not_missed(self):
+        trace = [
+            rec(0.5, "job_release", task="a", job=0, deadline=1.0),
+            rec(0.5, "stage_release", stage="a#0.0"),
+        ]
+        live = MetricsCollector()
+        live.job_released("a", 0, 0.5, 1.0)
+        live.record_queue_depth(0.5, 1)
+        replayed = metrics_from_trace(trace, 0.0, 1.0)
+        assert replayed == live.summary(1.0)
+        assert replayed["dmr"] == 0.0
+
+    def test_shed_job_departs_and_stays_an_unfinished_miss(self):
+        trace = [
+            rec(0.1, "job_release", task="a", job=0, deadline=0.3),
+            rec(0.1, "stage_release", stage="a#0.0"),
+            rec(0.2, "job_shed", task="a", job=0),
+        ]
+        live = MetricsCollector()
+        live.job_released("a", 0, 0.1, 0.3)
+        live.record_queue_depth(0.1, 1)
+        live.record_queue_depth(0.2, 0)
+        replayed = metrics_from_trace(trace, 0.0, 1.0)
+        assert replayed == live.summary(1.0)
+        assert replayed["dmr"] == 1.0
+        assert replayed["max_queue_depth"] == 1
 
 
 class TestAccumulatorContract:
+    """Impossible histories fail loudly instead of scoring."""
+
+    def test_refusal_away_from_its_release_raises(self):
+        trace = [
+            rec(0.1, "job_release", task="a", job=0, deadline=0.2),
+            rec(0.1, "stage_release", stage="a#0.0"),
+            rec(0.1, "job_reject", task="a", job=0),
+        ]
+        with pytest.raises(ValueError, match="does not follow its release"):
+            metrics_from_trace(trace, 0.0, 1.0)
+
+    def test_completion_without_release_raises(self):
+        trace = [rec(0.5, "job_complete", task="a", job=0)]
+        with pytest.raises(KeyError):
+            metrics_from_trace(trace, 0.0, 1.0)
+
+    def test_out_of_order_times_raise(self):
+        trace = [
+            rec(1.0, "job_release", task="a", job=0, deadline=2.0),
+            rec(1.0, "stage_release", stage="a#0.0"),
+            rec(0.7, "job_complete", task="a", job=0),
+        ]
+        with pytest.raises(ValueError, match="before its release"):
+            metrics_from_trace(trace, 0.0, 2.0)
+
     def test_release_without_deadline_rejected(self):
-        accumulator = TraceMetricsAccumulator()
-        stale = TraceRecord(0.0, "job_release", {"task": "t0", "job": 0})
+        stale = rec(0.0, "job_release", task="t0", job=0)
         with pytest.raises(ValueError, match="deadline"):
-            accumulator.feed(stale)
+            metrics_from_trace([stale], 0.0, 1.0)
 
     def test_empty_trace_finalizes_to_zeros(self):
-        metrics = TraceMetricsAccumulator(warmup=0.5).finalize(1.0)
+        metrics = metrics_from_trace([], 0.5, 1.0)
         assert metrics["total_fps"] == 0.0
         assert metrics["dmr"] == 0.0
         assert metrics["released"] == 0
         assert metrics["p99_response"] is None
         assert metrics["max_queue_depth"] == 0
-
-    def test_finalize_is_repeatable(self):
-        result = run_traced(20, "columnar")
-        accumulator = TraceMetricsAccumulator(warmup=WARMUP)
-        for record in result.trace:
-            accumulator.feed(record)
-        first = accumulator.finalize(DURATION)
-        assert accumulator.finalize(DURATION) == first
