@@ -28,8 +28,7 @@ import time
 
 import pytest
 
-from conftest import emit, emit_json
-
+from benchmarks.conftest import emit, emit_json
 from repro.core.context_pool import ContextPoolConfig
 from repro.core.runner import RunConfig, run_simulation
 from repro.core.sgprs import SgprsScheduler

@@ -33,8 +33,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import emit, emit_json
-
+from benchmarks.conftest import emit, emit_json
 from repro.core.context_pool import ContextPoolConfig
 from repro.core.runner import RunConfig, run_simulation
 from repro.gpu.spec import RTX_2080_TI

@@ -208,11 +208,13 @@ def compute_allocation(
 
     ``cache`` optionally memoises the per-context water-fills (see
     :class:`WaterfillCache`); results are bit-identical either way.  A
-    kernel's speedup curve is evaluated only when its effective share
-    differs from the one it was last evaluated at (the pair is kept on the
-    kernel as ``curve_share``/``curve_speedup``): a curve is a pure
-    function of the share, so the memo is bit-transparent, and a settle
-    pays curve evaluations only for the kernels whose share it moved.
+    kernel's curve is queried only when its effective share differs from
+    the one it was last queried at (the pair is kept on the kernel as
+    ``curve_share``/``curve_speedup``): a curve is a pure function of the
+    share, so this memo is bit-transparent.  Composite curves memoise
+    their own speedups, so what it skips is a memo lookup, not a curve
+    evaluation; most settles move few shares, and on an overloaded
+    8-context x 30-task point it still saves 1-4% of the wall time.
     """
     result = AllocationResult()
     per_context: List[Tuple[SimContext, Dict[int, float]]] = []

@@ -139,9 +139,6 @@ class SimContext:
         self._queued_entry: Dict[int, Tuple[PriorityLevel, float, float]] = {}
         self._queued_work = 0.0
         self._queued_eta = 0.0
-        #: id(curve) -> (curve, speedup at nominal_sms).  The curve object
-        #: is held strongly so a collected curve can never alias the id.
-        self._speedup_cache: Dict[int, Tuple[object, float]] = {}
         #: Identity of the task whose state the partition is configured for;
         #: used by reconfiguration policies (naive pays to change it).
         self.configured_task: Optional[str] = None
@@ -168,15 +165,12 @@ class SimContext:
         self._register_queued(kernel)
 
     def _nominal_speedup(self, kernel: StageKernel) -> float:
-        """``kernel.curve.speedup(nominal_sms)`` memoised per curve object."""
-        # repro: lint-ok[D003] the memo stores (curve, value) — the strong ref pins the id for the cache's lifetime
-        key = id(kernel.curve)
-        hit = self._speedup_cache.get(key)
-        if hit is None:
-            value = max(kernel.curve.speedup(self.nominal_sms), 1e-9)
-            self._speedup_cache[key] = (kernel.curve, value)
-            return value
-        return hit[1]
+        """``kernel.curve.speedup(nominal_sms)``, floored away from zero.
+
+        Composite curves memoise their own speedups, so this is a lookup
+        after the first query of each curve.
+        """
+        return max(kernel.curve.speedup(self.nominal_sms), 1e-9)
 
     def _register_queued(self, kernel: StageKernel) -> None:
         """Fold a newly queued stage into the live counters/accumulators.

@@ -114,9 +114,12 @@ class StageKernel:
         #: event only when this revision moved: at a constant rate the
         #: completion time fixed when the rate was last set stays exact.
         self.rate_rev: int = 0
-        #: The share ``curve.speedup`` was last evaluated at (NaN: never)
-        #: and its value.  The allocator re-evaluates only when the share
+        #: The share ``curve.speedup`` was last queried at (NaN: never)
+        #: and its value.  The allocator queries again only when the share
         #: moved; a curve is a pure function of the share, so this is exact.
+        #: Composite curves memoise their speedups themselves, so this
+        #: skips a memo lookup per resident kernel and pass, not a curve
+        #: evaluation (what that still saves: ``compute_allocation``).
         self.curve_share: float = float("nan")
         self.curve_speedup: float = 0.0
         self.context_id: Optional[int] = None

@@ -10,12 +10,21 @@ discrete-event simulation runs one kernel per stage whose progress rate at
 share ``s`` is exactly this composite speedup, so operator-mix effects (the
 reason ResNet18 only reaches ~23x while convolution alone reaches 32x) are
 preserved without simulating every operator launch.
+
+The simulator asks for ``T(1)`` on every stage release and for the speedup
+on every allocation pass, so a composite computes ``base_time`` once at
+construction and memoises ``speedup`` per share, in a bounded per-instance
+dict.  A composite's speedup is a pure function of the share, so the memo
+is exact: it returns the float a fresh evaluation would.  Composites are
+built once per task template (``repro.workloads.generator``) and shared by
+every task cloned from it, so a process fills each memo once and then
+reuses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence, Tuple
 
 from repro.dnn.ops import Operator
 from repro.speedup.calibration import (
@@ -43,11 +52,26 @@ class CompositeWorkload:
         ``(work_time_at_1_sm, curve)`` pairs, one per operator.
     overhead:
         Total serial (non-parallelisable) time: launch overheads.
+    base_time:
+        Wall time at a single SM (the WCET baseline): ``time_at(1.0)``,
+        computed once at construction.
+
+    ``base_time`` and the ``speedup`` memo are derived state: they take no
+    part in ``==``, ``hash`` or ``repr``, so two composites with equal
+    fields compare and hash equal however warm their memos are.
     """
+
+    #: Bound of the per-instance ``speedup`` memo; it is cleared wholesale
+    #: when full.  Paper-shaped runs query a few hundred shares per curve.
+    MEMO_MAX_ENTRIES = 4096
 
     name: str
     segments: Tuple[Tuple[float, WidthLimitedCurve], ...]
     overhead: float
+    base_time: float = field(init=False, repr=False, compare=False)
+    _speedup_memo: Dict[float, float] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -56,6 +80,8 @@ class CompositeWorkload:
             raise ValueError(f"composite {self.name!r} has negative overhead")
         if any(work < 0 for work, _ in self.segments):
             raise ValueError(f"composite {self.name!r} has negative work")
+        object.__setattr__(self, "base_time", self.time_at(1.0))
+        object.__setattr__(self, "_speedup_memo", {})
 
     # ------------------------------------------------------------------
     # Time model
@@ -70,20 +96,25 @@ class CompositeWorkload:
         return total
 
     @property
-    def base_time(self) -> float:
-        """Wall time at a single SM (the WCET baseline)."""
-        return self.time_at(1.0)
-
-    @property
     def total_work(self) -> float:
         """Parallelisable work in single-SM seconds (excludes overhead)."""
         return sum(work for work, _ in self.segments)
 
     def speedup(self, sms: float) -> float:
-        """Composite speedup ``T(1)/T(s)``; 0 below a zero share."""
+        """Composite speedup ``T(1)/T(s)``; 0 below a zero share.
+
+        Memoised per share: only a share this composite has not seen since
+        its memo was last cleared costs a :meth:`time_at` evaluation.
+        """
         if sms <= 0:
             return 0.0
-        return self.base_time / self.time_at(sms)
+        memo = self._speedup_memo
+        value = memo.get(sms)
+        if value is None:
+            if len(memo) >= self.MEMO_MAX_ENTRIES:
+                memo.clear()
+            value = memo[sms] = self.base_time / self.time_at(sms)
+        return value
 
     # ------------------------------------------------------------------
     # Width demand

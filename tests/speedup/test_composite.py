@@ -1,5 +1,7 @@
 """Unit tests for composite workloads."""
 
+import pickle
+
 import pytest
 
 from repro.dnn.models import build_simple_cnn
@@ -20,7 +22,7 @@ def make_composite(works=(1e-3, 2e-3), sigma=0.05, overhead=1e-5, width=68.0):
 class TestTimeModel:
     def test_base_time_is_time_at_one(self):
         composite = make_composite()
-        assert composite.base_time == pytest.approx(composite.time_at(1.0))
+        assert composite.base_time == composite.time_at(1.0)
 
     def test_base_time_sums_work_and_overhead(self):
         composite = make_composite(works=(1e-3, 2e-3), overhead=1e-5)
@@ -56,6 +58,48 @@ class TestSpeedup:
     def test_bounded_by_best_segment_curve(self):
         composite = make_composite(sigma=0.05)
         assert composite.speedup(68) <= SaturatingCurve(0.05).speedup(68)
+
+
+class TestSpeedupMemo:
+    def test_repeat_query_evaluates_once(self, monkeypatch):
+        composite = make_composite()
+        calls = []
+        time_at = CompositeWorkload.time_at
+
+        def counting(self, sms):
+            calls.append(sms)
+            return time_at(self, sms)
+
+        monkeypatch.setattr(CompositeWorkload, "time_at", counting)
+        first = composite.speedup(8.0)
+        second = composite.speedup(8.0)
+        assert first == second == composite.base_time / time_at(composite, 8.0)
+        assert calls == [8.0]
+
+    def test_memo_excluded_from_eq_hash_repr(self):
+        warm, cold = make_composite(), make_composite()
+        warm.speedup(8.0)
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+        assert "base_time" not in repr(warm)
+
+    def test_pickle_round_trip(self):
+        composite = make_composite()
+        composite.speedup(8.0)
+        restored = pickle.loads(pickle.dumps(composite))
+        assert restored == composite
+        assert restored.base_time == composite.base_time
+        assert restored.speedup(8.0) == composite.speedup(8.0)
+
+    def test_memo_cleared_past_bound(self, monkeypatch):
+        monkeypatch.setattr(CompositeWorkload, "MEMO_MAX_ENTRIES", 4)
+        composite = make_composite()
+        for index in range(1, 11):
+            sms = float(index)
+            value = composite.speedup(sms)
+            assert len(composite._speedup_memo) <= 4
+            assert value == composite.base_time / composite.time_at(sms)
 
 
 class TestWidthDemand:
