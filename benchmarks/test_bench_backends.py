@@ -13,11 +13,7 @@ cheapest realistic point, so coordination never dominates a sweep.
 import pytest
 
 from benchmarks.conftest import emit
-from repro.exp.backend import (
-    InMemoryBackend,
-    LocalFSBackend,
-    ObjectStoreBackend,
-)
+from repro.exp.backend import InMemoryBackend, LocalFSBackend
 from repro.exp.dist import ClaimBoard, init_run
 from repro.exp.grid import GridSpec
 
@@ -31,15 +27,13 @@ SPEC = GridSpec(
     warmup=0.1,
 )  # 60 points per cycle
 
-BACKENDS = ("local", "memory", "objectstore")
+BACKENDS = ("local", "memory")
 
 
 def make_backend(name, tmp_path):
     if name == "local":
         return LocalFSBackend(tmp_path / "store")
-    if name == "memory":
-        return InMemoryBackend()
-    return ObjectStoreBackend()
+    return InMemoryBackend()
 
 
 def claim_release_cycle(board, points):

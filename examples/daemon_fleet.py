@@ -9,7 +9,7 @@ is already busy** — then idling out and exiting on their own:
     python examples/daemon_fleet.py
 
 The real thing is the same three commands on N hosts sharing the root
-(NFS, a bind mount, or an object-store backend):
+directory (NFS or a bind mount):
 
     # any host, any time — submit work without computing it
     python -m repro sweep --scenario 1 --submit --runs-root /srv/runs

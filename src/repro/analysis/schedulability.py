@@ -8,8 +8,6 @@ simulated pivots land near the analytic capacity.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.core.task import TaskSet, TaskSpec
 from repro.gpu.spec import GpuDeviceSpec
 from repro.speedup.composite import CompositeWorkload
@@ -54,68 +52,6 @@ def utilization_bound_tasks(
         raise ValueError("capacity must be positive")
     demand_per_task = task.fps
     return int(capacity_jobs_per_second / demand_per_task)
-
-
-# ----------------------------------------------------------------------
-# Heterogeneous-mix estimates (synthesized workloads)
-# ----------------------------------------------------------------------
-def mixed_naive_capacity_estimate(
-    networks: Sequence[CompositeWorkload],
-    weights: Optional[Sequence[float]] = None,
-    num_contexts: int = 1,
-    sms_per_context: float = 34.0,
-    switch_overhead: float = 0.0,
-) -> float:
-    """Jobs/second the naive scheduler sustains on a weighted network mix.
-
-    The per-job service time becomes the mix's *expected* whole-job time
-    at the partition size; the capacity estimate is otherwise the same
-    M/D/c-style bound as :func:`naive_capacity_estimate` (which this
-    generalises: a single network with weight 1 reproduces it).
-    """
-    if not networks:
-        raise ValueError("networks must be non-empty")
-    if num_contexts < 1:
-        raise ValueError("num_contexts must be >= 1")
-    weights = list(weights) if weights is not None else [1.0] * len(networks)
-    if len(weights) != len(networks) or any(w <= 0 for w in weights):
-        raise ValueError("weights must match networks and be positive")
-    total_weight = sum(weights)
-    expected_service = (
-        sum(
-            weight * (network.time_at(sms_per_context) + switch_overhead)
-            for network, weight in zip(networks, weights)
-        )
-        / total_weight
-    )
-    return num_contexts / expected_service
-
-
-def mixed_sgprs_capacity_estimate(
-    networks: Sequence[CompositeWorkload],
-    spec: GpuDeviceSpec,
-    weights: Optional[Sequence[float]] = None,
-) -> float:
-    """Jobs/second SGPRS sustains at saturation on a weighted network mix.
-
-    At saturation the aggregate progress ceiling binds regardless of how
-    jobs interleave, so the expected single-SM seconds per job is the only
-    mix statistic that matters.
-    """
-    if not networks:
-        raise ValueError("networks must be non-empty")
-    weights = list(weights) if weights is not None else [1.0] * len(networks)
-    if len(weights) != len(networks) or any(w <= 0 for w in weights):
-        raise ValueError("weights must match networks and be positive")
-    total_weight = sum(weights)
-    expected_base_time = (
-        sum(
-            weight * network.base_time
-            for network, weight in zip(networks, weights)
-        )
-        / total_weight
-    )
-    return spec.aggregate_speedup_cap / expected_base_time
 
 
 def taskset_naive_utilization(

@@ -81,7 +81,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.pivot import pivot_table, utilization_pivot_table
 from repro.analysis.report import (
@@ -458,7 +458,40 @@ def _sweep_synth(args: argparse.Namespace) -> None:
         f"{_run_summary(result, args)}"
     )
     if args.utilizations and len(args.utilizations) > 1:
-        aggregates = result.aggregate()
+        _print_utilization_tables(result)
+    else:
+        _print_count_tables(result, args.seeds)
+    _export(result, args)
+
+
+def _arrival_slices(results) -> List[Tuple[str, list]]:
+    """``results`` split into ``(arrival, subset)`` slices, in arrival
+    order.
+
+    A multi-valued ``--arrival`` axis has no single-table shape (neither
+    ``SweepPoint`` nor a utilization-table cell carries an arrival
+    coordinate), so the sweep tables are printed once per slice instead
+    of collapsing distinct cells.
+    """
+    slices: dict = {}
+    for point_result in results:
+        slices.setdefault(point_result.point.arrival, []).append(point_result)
+    return [(arrival, slices[arrival]) for arrival in sorted(slices)]
+
+
+def _print_utilization_tables(result) -> None:
+    """The utilization-axis tables and per-variant pivots, once per
+    arrival slice."""
+    from repro.exp.aggregate import aggregate_results
+
+    if not result.results:
+        print("(no points computed by this worker yet)")
+        return
+    slices = _arrival_slices(result.results)
+    for arrival, subset in slices:
+        if len(slices) > 1:
+            print(f"--- arrival: {arrival} ---")
+        aggregates = aggregate_results(subset)
         print(render_utilization_table(aggregates, "total_fps", title="total FPS"))
         print()
         print(
@@ -468,30 +501,22 @@ def _sweep_synth(args: argparse.Namespace) -> None:
         )
         print()
         print("pivot utilization (largest target with zero misses):")
-        for variant, pivot in utilization_pivot_table(result.results).items():
+        for variant, pivot in utilization_pivot_table(subset).items():
             print(f"  {variant}: {pivot}")
-    else:
-        _print_count_tables(result, args.seeds)
-    _export(result, args)
+        if len(slices) > 1:
+            print()
 
 
 def _print_count_tables(result, seeds: int) -> None:
-    """The classic task-count-axis tables (seed means or mean±ci95).
-
-    A multi-valued ``--arrival`` axis has no classic-sweep shape
-    (``SweepPoint`` carries no arrival coordinate), so the tables are
-    printed once per arrival slice instead of collapsing distinct cells.
-    """
+    """The classic task-count-axis tables (seed means or mean±ci95),
+    once per arrival slice."""
     from repro.exp.aggregate import aggregate_results, to_sweep
 
     if not result.results:
         print("(no points computed by this worker yet)")
         return
-    slices: dict = {}
-    for point_result in result.results:
-        slices.setdefault(point_result.point.arrival, []).append(point_result)
-    for arrival in sorted(slices):
-        subset = slices[arrival]
+    slices = _arrival_slices(result.results)
+    for arrival, subset in slices:
         if len(slices) > 1:
             print(f"--- arrival: {arrival} ---")
         if seeds > 1:

@@ -16,9 +16,8 @@ that grid into a first-class object:
   bit-identically to the parallel path);
 * :mod:`repro.exp.aggregate` — seed-replication statistics (mean and 95%
   confidence intervals over >= 3 seeds);
-* :mod:`repro.exp.backend` — pluggable run-store backends (local
-  filesystem, in-memory, S3-style object store, fault-injecting
-  wrapper) behind one atomicity contract;
+* :mod:`repro.exp.backend` — the run-store backends (a local
+  directory, or an in-memory dict) behind one atomicity contract;
 * :mod:`repro.exp.dist` — distributed, resumable execution over a shared
   run store: deterministic shard partitions, an atomic claim/heartbeat
   protocol (with cross-host clock-skew tolerance) for dynamic
@@ -37,12 +36,8 @@ the compatibility wrapper is
 
 from repro.exp.aggregate import AggregatePoint, aggregate_results, to_sweep
 from repro.exp.backend import (
-    BackendFault,
-    FaultInjectingBackend,
     InMemoryBackend,
     LocalFSBackend,
-    ObjectStoreBackend,
-    PrefixedBackend,
     StorageBackend,
     as_backend,
 )
@@ -74,21 +69,17 @@ from repro.exp.dist import (
 
 __all__ = [
     "AggregatePoint",
-    "BackendFault",
     "ClaimBoard",
     "ClaimConfig",
     "DaemonConfig",
     "DaemonStats",
-    "FaultInjectingBackend",
     "GridPoint",
     "GridResult",
     "GridSpec",
     "HeartbeatTicker",
     "InMemoryBackend",
     "LocalFSBackend",
-    "ObjectStoreBackend",
     "PointResult",
-    "PrefixedBackend",
     "ResultCache",
     "RunManifest",
     "StorageBackend",

@@ -1,12 +1,12 @@
-"""Pluggable storage backends for run directories.
+"""Storage backends for run directories.
 
 Every piece of distributed-sweep state — the manifest, the claim files,
 the result-cache checkpoints — lives in a *run store* addressed by
 string keys (``manifest.json``, ``claims/<hash>.claim``,
 ``cache/<hash>.json``).  This module abstracts where those keys live, so
-the same claim/steal/checkpoint protocol runs over a POSIX directory, an
-in-memory dict, or an S3-style object store, and so a fault-injecting
-wrapper can stress the protocol without touching it.
+the same claim/steal/checkpoint protocol runs over a POSIX directory or
+an in-memory dict, and so a test can wrap a backend to inject faults
+without touching the protocol.
 
 Atomicity contract
 ------------------
@@ -46,7 +46,7 @@ protocol (:class:`repro.exp.dist.ClaimBoard`) rests on nothing else:
     Cheap existence probe (no payload transfer required).
 
 Version tokens are backend-specific (the raw bytes on the local
-filesystem, a monotonic revision counter elsewhere) and are only ever
+filesystem, a monotonic revision counter in memory) and are only ever
 compared by the backend itself.
 
 Implementations
@@ -59,27 +59,13 @@ Implementations
     the single-winner ``os.rename`` tombstone trick (rename is atomic
     on POSIX; exactly one concurrent renamer wins).
 :class:`InMemoryBackend`
-    A locked dict — protocol tests without tmpdirs, and the reference
-    semantics the other backends are judged against.
-:class:`ObjectStoreBackend`
-    Emulates an S3-style store: **no rename primitive at all**.  The
-    only conditional operations are the modern S3 ones — PUT
-    ``If-None-Match`` (:meth:`put_exclusive`), PUT ``If-Match``
-    (:meth:`lease`) and DELETE ``If-Match`` — so the claim/steal
-    protocol exercises its compare-and-swap re-expression rather than
-    rename tombstones.  Unlike the LocalFS emulation, an object-store
-    ``lease`` never leaves a key-absent window mid-steal.
-:class:`FaultInjectingBackend`
-    Wraps any backend and applies a scripted fault — ``fail``, ``lost``
-    (applied but the acknowledgement is lost), ``duplicate`` (applied
-    twice), a delay, or an arbitrary hook — on the Nth invocation of a
-    chosen operation.  The fault-injection test tier
-    (``tests/exp/test_backends.py``) drives the whole protocol through
-    it to prove single-ownership survives lost and duplicated
-    operations.
-:class:`PrefixedBackend`
-    A key-namespace view (``prefix + key``) over any backend — how the
-    daemon addresses one run inside a multi-run root.
+    A locked dict — protocol tests without tmpdirs, the reference
+    semantics :class:`LocalFSBackend` is judged against, and the trace
+    store of in-process benchmarks.
+
+The fault-injection tests (``tests/exp/test_backends.py``) wrap either
+backend in a test double that drops, loses, duplicates or delays the Nth
+call of an operation, and drive the whole protocol through it.
 """
 
 from __future__ import annotations
@@ -89,15 +75,10 @@ import json
 import os
 import tempfile
 import threading
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
-
-
-class BackendFault(RuntimeError):
-    """An injected (or surfaced) storage-backend failure."""
+from typing import Dict, List, Optional, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -383,276 +364,6 @@ class InMemoryBackend(StorageBackend):
     def exists(self, key: str) -> bool:
         with self._lock:
             return key in self._store
-
-
-class ObjectStoreBackend(StorageBackend):
-    """S3-semantics emulation: no rename, conditional puts only.
-
-    Every public operation is composed from the five primitives a real
-    S3-compatible store offers — GET, LIST, unconditional PUT, PUT with
-    ``If-None-Match``/``If-Match``, and DELETE with ``If-Match`` — each
-    individually atomic server-side (the ``_server_lock`` stands in for
-    the service's internal serialization).  ``delete_if_owner`` is the
-    one *client-composed* operation: a GET to learn the owner and etag,
-    then a conditional DELETE that only lands if the record has not
-    been replaced since — exactly how a real object-store deployment
-    would have to do it.
-    """
-
-    def __init__(self) -> None:
-        self._server_lock = threading.RLock()
-        self._objects: Dict[str, Tuple[bytes, int]] = {}
-        self._etag = itertools.count(1)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ObjectStoreBackend({len(self._objects)} objects)"
-
-    # -- the primitives a real S3-style service serializes --------------
-
-    def _get(self, key: str) -> Optional[Tuple[bytes, int]]:
-        with self._server_lock:
-            return self._objects.get(key)
-
-    def _put(self, key: str, data: bytes) -> None:
-        with self._server_lock:
-            self._objects[key] = (bytes(data), next(self._etag))
-
-    def _put_if_none_match(self, key: str, data: bytes) -> bool:
-        with self._server_lock:
-            if key in self._objects:
-                return False
-            self._objects[key] = (bytes(data), next(self._etag))
-            return True
-
-    def _put_if_match(self, key: str, data: bytes, etag: object) -> bool:
-        with self._server_lock:
-            entry = self._objects.get(key)
-            if entry is None or entry[1] != etag:
-                return False
-            self._objects[key] = (bytes(data), next(self._etag))
-            return True
-
-    def _delete_if_match(self, key: str, etag: object) -> bool:
-        with self._server_lock:
-            entry = self._objects.get(key)
-            if entry is None or entry[1] != etag:
-                return False
-            del self._objects[key]
-            return True
-
-    # -- the backend interface, composed from those primitives ----------
-
-    def put_exclusive(self, key: str, data: bytes) -> bool:
-        return self._put_if_none_match(key, data)
-
-    def read(self, key: str) -> Optional[Record]:
-        entry = self._get(key)
-        if entry is None:
-            return None
-        return Record(data=entry[0], token=entry[1])
-
-    def atomic_replace(self, key: str, data: bytes) -> None:
-        self._put(key, data)
-
-    def lease(self, key: str, data: bytes, token: object) -> bool:
-        return self._put_if_match(key, data, token)
-
-    def delete_if_owner(self, key: str, owner: str) -> bool:
-        if owner == "":
-            return False
-        entry = self._get(key)
-        if entry is None or record_owner(entry[0]) != owner:
-            return False
-        return self._delete_if_match(key, entry[1])
-
-    def delete(self, key: str) -> bool:
-        with self._server_lock:
-            return self._objects.pop(key, None) is not None
-
-    def list_prefix(self, prefix: str) -> List[str]:
-        with self._server_lock:
-            return sorted(k for k in self._objects if k.startswith(prefix))
-
-    def exists(self, key: str) -> bool:
-        return self._get(key) is not None
-
-
-#: What a caller sees when an operation's acknowledgement is "lost":
-#: the operation applied, but the backend reports the failure value.
-_LOST_RESULTS = {
-    "put_exclusive": False,
-    "lease": False,
-    "delete_if_owner": False,
-    "delete": False,
-    "atomic_replace": None,
-    "read": None,
-    "list_prefix": [],
-    "exists": False,
-}
-
-
-class FaultInjectingBackend(StorageBackend):
-    """Wrap any backend; apply a scripted fault on the Nth call of an op.
-
-    ``inject(op, nth, action)`` arms one fault for the ``nth`` (1-based,
-    counted per operation name) invocation of ``op``:
-
-    ``"fail"``
-        Raise :class:`BackendFault` *before* applying — the operation
-        never happens (a dropped request).
-    ``"lost"``
-        Apply the operation, then report its failure value — the
-        request landed but the acknowledgement was lost, so the caller
-        must not assume it did.
-    ``"duplicate"``
-        Apply the operation twice, reporting the first result — a
-        retried/duplicated delivery.
-    ``("delay", seconds)``
-        Sleep, then apply — a slow request other workers can overtake.
-    any callable
-        Invoked (no args) before applying — for test-orchestrated
-        interleavings (barriers, events).
-
-    ``log`` records every triggered fault as ``(op, nth, label)``.
-    """
-
-    def __init__(self, inner: StorageBackend) -> None:
-        self.inner = inner
-        self._lock = threading.Lock()
-        self._counts: Dict[str, int] = {}
-        self._faults: Dict[Tuple[str, int], object] = {}
-        self.log: List[Tuple[str, int, str]] = []
-
-    def inject(self, op: str, nth: int, action: object = "fail") -> None:
-        """Arm ``action`` for the ``nth`` (1-based) call of ``op``."""
-        if op not in _LOST_RESULTS:
-            raise ValueError(f"unknown backend operation {op!r}")
-        if nth < 1:
-            raise ValueError(f"nth is 1-based, got {nth}")
-        with self._lock:
-            self._faults[(op, nth)] = action
-
-    def calls(self, op: str) -> int:
-        """How many times ``op`` has been invoked so far."""
-        with self._lock:
-            return self._counts.get(op, 0)
-
-    def _apply(self, op: str, call: Callable[[], object]) -> object:
-        with self._lock:
-            self._counts[op] = self._counts.get(op, 0) + 1
-            action = self._faults.pop((op, self._counts[op]), None)
-            nth = self._counts[op]
-        if action is None:
-            return call()
-        label = action if isinstance(action, str) else getattr(
-            action, "__name__", "hook"
-        )
-        with self._lock:
-            self.log.append((op, nth, str(label)))
-        if action == "fail":
-            raise BackendFault(f"injected failure: {op} #{nth}")
-        if action == "lost":
-            call()
-            return _LOST_RESULTS[op]
-        if action == "duplicate":
-            first = call()
-            call()
-            return first
-        if isinstance(action, tuple) and action and action[0] == "delay":
-            time.sleep(action[1])
-            return call()
-        if callable(action):
-            action()
-            return call()
-        raise ValueError(f"unknown fault action {action!r}")
-
-    def put_exclusive(self, key: str, data: bytes) -> bool:
-        return self._apply(
-            "put_exclusive", lambda: self.inner.put_exclusive(key, data)
-        )
-
-    def read(self, key: str) -> Optional[Record]:
-        return self._apply("read", lambda: self.inner.read(key))
-
-    def atomic_replace(self, key: str, data: bytes) -> None:
-        return self._apply(
-            "atomic_replace", lambda: self.inner.atomic_replace(key, data)
-        )
-
-    def lease(self, key: str, data: bytes, token: object) -> bool:
-        return self._apply(
-            "lease", lambda: self.inner.lease(key, data, token)
-        )
-
-    def delete_if_owner(self, key: str, owner: str) -> bool:
-        return self._apply(
-            "delete_if_owner",
-            lambda: self.inner.delete_if_owner(key, owner),
-        )
-
-    def delete(self, key: str) -> bool:
-        return self._apply("delete", lambda: self.inner.delete(key))
-
-    def list_prefix(self, prefix: str) -> List[str]:
-        return self._apply(
-            "list_prefix", lambda: self.inner.list_prefix(prefix)
-        )
-
-    def exists(self, key: str) -> bool:
-        return self._apply("exists", lambda: self.inner.exists(key))
-
-    def ensure_prefix(self, prefix: str) -> None:
-        # infrastructure, not protocol: never faulted
-        self.inner.ensure_prefix(prefix)
-
-
-class PrefixedBackend(StorageBackend):
-    """A ``prefix + key`` namespace view over another backend.
-
-    How one run is addressed inside a multi-run root (the daemon's
-    runs-root): ``PrefixedBackend(root, "abc123/")`` turns the run
-    store's ``manifest.json`` into the root's ``abc123/manifest.json``.
-    """
-
-    def __init__(self, inner: StorageBackend, prefix: str) -> None:
-        if prefix and not prefix.endswith("/"):
-            prefix += "/"
-        self.inner = inner
-        self.prefix = prefix
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PrefixedBackend({self.inner!r}, {self.prefix!r})"
-
-    def put_exclusive(self, key: str, data: bytes) -> bool:
-        return self.inner.put_exclusive(self.prefix + key, data)
-
-    def read(self, key: str) -> Optional[Record]:
-        return self.inner.read(self.prefix + key)
-
-    def atomic_replace(self, key: str, data: bytes) -> None:
-        self.inner.atomic_replace(self.prefix + key, data)
-
-    def lease(self, key: str, data: bytes, token: object) -> bool:
-        return self.inner.lease(self.prefix + key, data, token)
-
-    def delete_if_owner(self, key: str, owner: str) -> bool:
-        return self.inner.delete_if_owner(self.prefix + key, owner)
-
-    def delete(self, key: str) -> bool:
-        return self.inner.delete(self.prefix + key)
-
-    def list_prefix(self, prefix: str) -> List[str]:
-        trimmed = len(self.prefix)
-        return [
-            key[trimmed:]
-            for key in self.inner.list_prefix(self.prefix + prefix)
-        ]
-
-    def exists(self, key: str) -> bool:
-        return self.inner.exists(self.prefix + key)
-
-    def ensure_prefix(self, prefix: str) -> None:
-        self.inner.ensure_prefix(self.prefix + prefix)
 
 
 def as_backend(store: Union[str, Path, StorageBackend]) -> StorageBackend:

@@ -21,9 +21,8 @@ The daemon adds two things the single-pass worker deliberately lacks:
 
 * **Discovery** — every poll cycle re-lists the runs root, so a run
   store *hot-added* while the fleet is busy is picked up on the next
-  cycle, no restarts.  The root may be a directory or any
-  :class:`~repro.exp.backend.StorageBackend`; each child holding a
-  ``manifest.json`` is a run.
+  cycle, no restarts.  The root is a directory; each child directory
+  holding a ``manifest.json`` is a run.
 * **Heartbeat refresh** — a background :class:`HeartbeatTicker`
   re-stamps every claim the worker holds (every ``ttl/4`` by default),
   so the claim TTL no longer needs to exceed the slowest point's cost:
@@ -45,12 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Union
 
-from repro.exp.backend import (
-    LocalFSBackend,
-    PrefixedBackend,
-    StorageBackend,
-    as_backend,
-)
+from repro.exp.backend import LocalFSBackend
 from repro.exp.dist import (
     DEFAULT_SKEW,
     DEFAULT_TTL,
@@ -78,7 +72,7 @@ class DaemonConfig:
     per TTL window to survive scheduling hiccups.
     """
 
-    runs_root: Union[str, Path, StorageBackend]
+    runs_root: Union[str, Path]
     poll: float = 5.0
     max_idle: Optional[int] = None
     once: bool = False
@@ -151,32 +145,20 @@ class HeartbeatTicker:
         self.stop()
 
 
-def discover_runs(runs_root: Union[str, Path, StorageBackend]) -> List[str]:
-    """Run ids (child names holding a ``manifest.json``) under a root."""
-    backend = as_backend(runs_root)
-    if isinstance(backend, LocalFSBackend):
-        # Don't walk every cache checkpoint of every run per poll cycle.
-        # The glob MUST be sorted: directory-entry order is
-        # filesystem-dependent, and the fleet's drain order (which run a
-        # worker claims first) follows this list (lint rule D004).
-        manifests = sorted(backend.root.glob(f"*/{MANIFEST_NAME}"))
-        return [path.parent.name for path in manifests]
-    runs = set()
-    for key in backend.list_prefix(""):
-        head, _, tail = key.partition("/")
-        if tail == MANIFEST_NAME:
-            runs.add(head)
-    return sorted(runs)
+def discover_runs(runs_root: Union[str, Path]) -> List[str]:
+    """Run ids (child directories holding a ``manifest.json``) under a
+    runs root."""
+    # Don't walk every cache checkpoint of every run per poll cycle.
+    # The glob MUST be sorted: directory-entry order is
+    # filesystem-dependent, and the fleet's drain order (which run a
+    # worker claims first) follows this list (lint rule D004).
+    manifests = sorted(Path(runs_root).glob(f"*/{MANIFEST_NAME}"))
+    return [path.parent.name for path in manifests]
 
 
-def run_store(
-    runs_root: Union[str, Path, StorageBackend], run_id: str
-) -> StorageBackend:
-    """The backend view of one run inside a runs root."""
-    backend = as_backend(runs_root)
-    if isinstance(backend, LocalFSBackend):
-        return LocalFSBackend(backend.root / run_id)
-    return PrefixedBackend(backend, run_id + "/")
+def run_store(runs_root: Union[str, Path], run_id: str) -> LocalFSBackend:
+    """The run store of one run inside a runs root."""
+    return LocalFSBackend(Path(runs_root) / run_id)
 
 
 def _install_signal_handlers(

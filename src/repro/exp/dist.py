@@ -5,8 +5,8 @@ hosts need is not compute but *coordination*: carve up one grid without
 double-running points, survive crashes, and merge into one canonical
 result set.  This module provides that coordination over any
 :mod:`repro.exp.backend` storage backend — a directory every worker can
-reach (NFS, a shared bind-mount, or one host's disk), an S3-style
-object store, or an in-memory store for tests.
+reach (NFS, a shared bind-mount, or one host's disk), or an in-memory
+store for tests.
 
 Run-store layout
 ----------------
@@ -37,8 +37,7 @@ Protocol
 lease` on the exact revision it observed, so of any number of
   concurrent stealers (and fresh claimers) exactly one ends up owning
   the claim.  On the local filesystem the CAS is arbitrated by an
-  atomic ``os.rename`` tombstone; on an object store by a conditional
-  put — the protocol above is identical either way.
+  atomic ``os.rename`` tombstone.
 * **Completion** is recorded by the :class:`~repro.exp.cache.ResultCache`
   checkpoint (atomic write), never by the claim file, so every finished
   point survives any crash and an interrupted sweep is resumable: a

@@ -21,15 +21,20 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 LINT_PATHS = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks")]
 
 
-def test_src_and_benchmarks_lint_clean():
-    findings = run_lint(LINT_PATHS, ALL_RULES)
-    assert findings == [], "\n".join(
-        f"{f.path}:{f.line}: {f.rule} {f.message}" for f in findings
+@pytest.fixture(scope="module")
+def tree_findings():
+    """One lint run over the tree, shared by the tests of this module."""
+    return run_lint(LINT_PATHS, ALL_RULES)
+
+
+def test_src_and_benchmarks_lint_clean(tree_findings):
+    assert tree_findings == [], "\n".join(
+        f"{f.path}:{f.line}: {f.rule} {f.message}" for f in tree_findings
     )
 
 
-def test_lint_output_is_byte_identical_across_runs():
-    first = render_json(run_lint(LINT_PATHS, ALL_RULES))
+def test_lint_output_is_byte_identical_across_runs(tree_findings):
+    first = render_json(tree_findings)
     second = render_json(run_lint(LINT_PATHS, ALL_RULES))
     assert first == second
     assert first.encode("utf-8") == second.encode("utf-8")

@@ -1,6 +1,6 @@
-"""Backend contract tests + the protocol property suite over every backend.
+"""Backend contract tests + the protocol property suite over both backends.
 
-Two layers:
+Three layers:
 
 * **Contract tests** pin the atomicity guarantees each
   :class:`~repro.exp.backend.StorageBackend` must honor (exclusive put,
@@ -8,15 +8,12 @@ Two layers:
   threads).  The claim protocol's correctness reduces to exactly these.
 * **Protocol properties** re-run the distributed-sweep invariants
   (single-owner claims, stale-steal single-winner, merge==whole,
-  crash/resume) *parametrized over all three backends*, so LocalFS,
-  InMemory and ObjectStore are all held to the same behavior — the
-  object store proving the claim/steal protocol survives without a
-  rename primitive.
-* **Fault injection** wraps each backend in
-  :class:`~repro.exp.backend.FaultInjectingBackend` and proves a lost
-  or duplicated operation never produces two owners or a corrupted
-  merge — the failure modes a flaky NFS mount or an at-least-once
-  object store actually exhibits.
+  crash/resume) *parametrized over both backends*, so LocalFS is held
+  to the behavior of the InMemory reference.
+* **Fault injection** wraps each backend in the test double
+  :class:`tests.exp.faults.FaultInjectingBackend` and proves a lost or
+  duplicated operation never produces two owners or a corrupted merge
+  — the failure modes a flaky NFS mount actually exhibits.
 """
 
 import json
@@ -25,14 +22,7 @@ import time
 
 import pytest
 
-from repro.exp.backend import (
-    BackendFault,
-    FaultInjectingBackend,
-    InMemoryBackend,
-    LocalFSBackend,
-    ObjectStoreBackend,
-    PrefixedBackend,
-)
+from repro.exp.backend import InMemoryBackend, LocalFSBackend
 from repro.exp.dist import (
     ClaimBoard,
     init_run,
@@ -44,10 +34,11 @@ from repro.exp.dist import (
 from repro.exp.grid import GridSpec
 from repro.exp.runner import run_grid
 
+from tests.exp.faults import BackendFault, FaultInjectingBackend
 from tests.exp.test_dist_properties import fake_point, identity
 from tests.exp.test_dist_resume import CrashingWorker, WorkerKilled
 
-BACKEND_NAMES = ("local", "memory", "objectstore")
+BACKEND_NAMES = ("local", "memory")
 
 SPEC = GridSpec(
     scenario="scenario1",
@@ -64,9 +55,7 @@ NUM_POINTS = len(SPEC)  # 18
 def make_backend(name, tmp_path):
     if name == "local":
         return LocalFSBackend(tmp_path / "store")
-    if name == "memory":
-        return InMemoryBackend()
-    return ObjectStoreBackend()
+    return InMemoryBackend()
 
 
 @pytest.fixture(params=BACKEND_NAMES)
@@ -171,15 +160,6 @@ class TestBackendContract:
         assert backend.delete("a/one")
         assert not backend.delete("a/one")
         assert backend.list_prefix("a/") == ["a/two"]
-
-    def test_prefixed_view_namespaces_keys(self, backend):
-        view = PrefixedBackend(backend, "runA")
-        assert view.put_exclusive("manifest.json", b"m")
-        assert view.read("manifest.json").data == b"m"
-        assert backend.read("runA/manifest.json").data == b"m"
-        view.atomic_replace("cache/x.json", b"x")
-        assert view.list_prefix("cache/") == ["cache/x.json"]
-        assert backend.list_prefix("runA/cache/") == ["runA/cache/x.json"]
 
 
 class TestFaultWrapper:

@@ -13,8 +13,8 @@ The daemon's promises, each pinned here:
 * the CLI surface (``python -m repro worker``) exits 0 on SIGTERM.
 
 Everything but the CLI tests drives :func:`repro.exp.daemon.serve`
-in-process with the pure ``fake_point`` stand-in, parametrized over the
-storage backends, so a whole fleet lifecycle costs milliseconds.
+in-process with the pure ``fake_point`` stand-in over a runs-root
+directory, so a whole fleet lifecycle costs milliseconds.
 """
 
 import os
@@ -28,7 +28,7 @@ import time
 import pytest
 
 import repro
-from repro.exp.backend import InMemoryBackend, ObjectStoreBackend
+from repro.exp.backend import LocalFSBackend
 from repro.exp.daemon import (
     DaemonConfig,
     HeartbeatTicker,
@@ -62,15 +62,10 @@ SPEC_B = GridSpec(
 )
 
 
-@pytest.fixture(params=("local", "memory", "objectstore"))
-def runs_root(request, tmp_path):
-    """A runs root per backend flavour (a path for the local one, so the
-    daemon exercises the same coercion the CLI does)."""
-    if request.param == "local":
-        return tmp_path / "runs"
-    if request.param == "memory":
-        return InMemoryBackend()
-    return ObjectStoreBackend()
+@pytest.fixture
+def runs_root(tmp_path):
+    """A runs-root directory, as the CLI's ``--runs-root`` names one."""
+    return tmp_path / "runs"
 
 
 def wait_until(predicate, timeout=30.0, interval=0.01):
@@ -94,9 +89,9 @@ class TestDiscovery:
     def test_discovery_order_independent_of_creation_order(self, runs_root):
         """Drain order must not follow filesystem/creation order.
 
-        ``discover_runs`` feeds the fleet's drain loop; on the local
-        backend it globs the runs root, and directory-entry order is
-        whatever the filesystem hands back (often creation order).  Pin
+        ``discover_runs`` feeds the fleet's drain loop; it globs the
+        runs root, and directory-entry order is whatever the filesystem
+        hands back (often creation order).  Pin
         the sort: however the run directories came into being, every
         worker sees the same deterministic run sequence.
         """
@@ -224,23 +219,30 @@ class TestServe:
         for point in SPEC_A.points():
             assert observer.owner_of(point) is None, "claim left behind"
 
-    def test_completed_runs_are_not_reprobed_every_cycle(self):
+    def test_completed_runs_are_not_reprobed_every_cycle(
+        self, runs_root, monkeypatch
+    ):
         """An idle daemon's steady-state footprint is one listing per
         poll cycle — never a per-point existence probe of runs it has
         already seen fully checkpointed."""
-        from repro.exp.backend import FaultInjectingBackend
+        probes = []
+        exists = LocalFSBackend.exists
 
-        root = FaultInjectingBackend(InMemoryBackend())
-        init_run(run_store(root, "runA"), SPEC_A)
+        def counting_exists(backend, key):
+            probes.append(key)
+            return exists(backend, key)
+
+        monkeypatch.setattr(LocalFSBackend, "exists", counting_exists)
+        init_run(run_store(runs_root, "runA"), SPEC_A)
         stats = serve(
-            DaemonConfig(runs_root=root, poll=0.001, max_idle=5),
+            DaemonConfig(runs_root=runs_root, poll=0.001, max_idle=5),
             point_fn=fake_point,
         )
         assert stats.points_computed == len(SPEC_A)
         assert stats.cycles == 6  # 1 drain + 5 idle
         # pending_points probes exactly twice (pre-drain, post-drain);
         # the idle cycles must add none
-        assert root.calls("exists") == 2 * len(SPEC_A)
+        assert len(probes) == 2 * len(SPEC_A)
 
     def test_two_daemons_split_one_run(self, runs_root):
         init_run(run_store(runs_root, "runA"), SPEC_A)

@@ -255,6 +255,39 @@ class TestDistributedSweep:
         assert "2 of 8 grid points" in capsys.readouterr().out
 
 
+class TestUtilizationSweepArrivals:
+    def test_tables_and_pivots_print_once_per_arrival(self, tmp_path, capsys):
+        """A utilization sweep over two arrival processes prints each
+        arrival's tables and pivots under its own header (the pivot
+        refuses to mix arrivals) and still writes ``--out``."""
+        out = tmp_path / "grid.json"
+        argv = [
+            "sweep",
+            "--scenario",
+            "mixed_fleet",
+            "--tasks",
+            "2",
+            "--utilizations",
+            "1.0,1.5",
+            "--duration",
+            "0.2",
+            "--warmup",
+            "0.05",
+            "--arrival",
+            "poisson",
+            "--arrival",
+            "mmpp:burst=6",
+            "--out",
+            str(out),
+        ]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert "--- arrival: poisson ---" in text
+        assert "--- arrival: mmpp:burst=6 ---" in text
+        assert text.count("pivot utilization") == 2
+        assert len(json.loads(out.read_text())["points"]) == 16
+
+
 class TestSubmitFlag:
     """``sweep --submit``: initialise the run directory, compute nothing."""
 
