@@ -501,8 +501,18 @@ def _print_utilization_tables(result) -> None:
         )
         print()
         print("pivot utilization (largest target with zero misses):")
-        for variant, pivot in utilization_pivot_table(subset).items():
-            print(f"  {variant}: {pivot}")
+        # The pivot refuses to mix task counts: one line per variant and
+        # task count when the sweep has several.
+        by_tasks: dict = {}
+        for point_result in subset:
+            by_tasks.setdefault(point_result.point.num_tasks, []).append(
+                point_result
+            )
+        for num_tasks in sorted(by_tasks):
+            label = f" ({num_tasks} tasks)" if len(by_tasks) > 1 else ""
+            pivots = utilization_pivot_table(by_tasks[num_tasks])
+            for variant, pivot in pivots.items():
+                print(f"  {variant}{label}: {pivot}")
         if len(slices) > 1:
             print()
 

@@ -273,7 +273,7 @@ def compute_allocation(
     # rate revision moves only when the published rate differs from the
     # kernel's current one: unchanged inputs reproduce bit-identical floats,
     # so an equality check is exact, and the device uses the revision to
-    # skip re-arming completion events whose time is still exact.
+    # keep completion anchors whose time is still exact.
     for kernel_id, kernel in kernel_index.items():
         kernel.share = result.shares[kernel_id]
         rate = result.rates[kernel_id]

@@ -9,20 +9,25 @@ completion, abort); at every change point the device
 1. advances each resident kernel by the elapsed time at its previous rate,
 2. recomputes the allocation — unless the resident set is untouched since
    the last settle (a submit that only queued, an abort that only
-   tombstoned), in which case shares, rates and every armed completion
-   event are still exact and the whole pass is skipped,
-3. re-arms provisional completion events **only for kernels whose rate
-   actually changed** (tracked by a per-kernel rate revision the allocator
-   bumps).  A kernel's completion time is anchored at the instant its rate
-   last changed — ``anchor_now + time_to_completion`` — and at a constant
-   rate that absolute time stays exact, so the provisional event scheduled
-   then needs no churn.
+   tombstoned), in which case shares, rates and every completion anchor
+   are still exact and the whole pass is skipped,
+3. re-anchors the completion **only of kernels whose rate actually
+   changed** (tracked by a per-kernel rate revision the allocator bumps).
+   A kernel's completion anchor ``(rate_rev, when, stamp)`` is fixed at the
+   instant its rate last changed — ``when = anchor_now +
+   time_to_completion``, exact for as long as the rate stays constant —
+   and ``stamp`` is an engine order stamp reserved at that instant.
 
-This makes a change point O(changed) in engine heap operations instead of
-O(resident): a busy device with K resident kernels does not pay O(K)
-cancels and re-pushes on every submit/complete/abort (O(K²) events per
-hyperperiod).  ``tests/gpu/test_trace_equivalence.py`` pins the traces
-this produces to recorded digests.
+The device holds **one** engine event, at the smallest ``(when, stamp)``
+anchor, and moves it only when that minimum changes.  A settle that
+rescales every survivor's rate (a saturated aggregate ceiling, rising
+over-subscription pressure) therefore costs O(resident) anchor writes but
+at most one engine cancel and one heap push, instead of one of each per
+survivor.  Because every anchor reserves its stamp exactly where a
+per-kernel push would have taken a sequence number, the event pops in the
+same order, with the same same-time tie-breaks, as one event per kernel
+would.  ``tests/gpu/test_trace_equivalence.py`` pins the traces this
+produces to recorded digests.
 
 The completion callback is the scheduler's online hook (release successor
 stages, complete jobs); anything it submits or aborts is folded into the
@@ -42,12 +47,14 @@ from repro.gpu.allocator import (
 from repro.gpu.context import SimContext
 from repro.gpu.kernel import StageKernel
 from repro.gpu.spec import GpuDeviceSpec
-from repro.sim.clock import TIME_EPS
+from repro.sim.clock import TIME_EPS, validate_time
 from repro.sim.engine import Event, SimulationEngine
 from repro.sim.trace import TraceRecorder
 from repro.sim.trace_kinds import ALLOCATION, KERNEL_DONE, KERNEL_START
 
 CompletionCallback = Callable[[StageKernel], None]
+
+_INF = float("inf")
 
 
 class GpuDevice:
@@ -90,10 +97,15 @@ class GpuDevice:
         self.params = params
         self.trace = trace
         self.on_kernel_complete: Optional[CompletionCallback] = None
-        #: kernel_id -> (rate revision at arming, scheduled completion
-        #: event or None when stalled).  The event itself carries the
-        #: anchored absolute time.
-        self._armed: Dict[int, Tuple[int, Optional[Event]]] = {}
+        #: kernel_id -> completion anchor ``(rate_rev, when, stamp)``: the
+        #: rate revision it was computed at, the absolute completion time
+        #: (inf while stalled) and the engine order stamp reserved for it
+        #: (-1 while stalled).  One entry per resident kernel.
+        self._armed: Dict[int, Tuple[int, float, int]] = {}
+        #: The device's one engine event, pending at the smallest
+        #: ``(when, stamp)`` anchor, and the kernel that anchor belongs to.
+        self._event: Optional[Event] = None
+        self._event_kernel: Optional[StageKernel] = None
         #: Bit-transparent memoisation of per-context water-fills.
         self._shares_cache = WaterfillCache()
         self._start_time = engine.now
@@ -113,6 +125,9 @@ class GpuDevice:
         #: unchanged (observability for tests and benchmarks).
         self.alloc_passes = 0
         self.alloc_skips = 0
+        #: Completion anchors written and device events fired.
+        self.arms = 0
+        self.completions = 0
 
     # ------------------------------------------------------------------
     # Public operations
@@ -155,7 +170,6 @@ class GpuDevice:
 
     def _abort_one(self, kernel: StageKernel) -> None:
         kernel.aborted = True
-        self._disarm(kernel.kernel_id)
         context = (
             self._context_by_id.get(kernel.context_id)
             if kernel.context_id is not None
@@ -163,6 +177,8 @@ class GpuDevice:
         )
         if context is not None:
             context.remove(kernel)
+        # Detached first: re-pointing the device event must not re-anchor it.
+        self._disarm(kernel)
 
     def resident_kernels(self) -> List[StageKernel]:
         """All kernels currently on streams, across contexts.
@@ -247,7 +263,7 @@ class GpuDevice:
         residency_rev = self._residency_rev()
         if residency_rev == self._alloc_residency_rev:
             # Nothing entered or left a stream since the last pass: shares,
-            # rates and every armed completion event are still exact.  Only
+            # rates and every completion anchor are still exact.  Only
             # the allocation trace record is emitted (from the cached
             # result, which the skipped pass would have reproduced).
             self.alloc_skips += 1
@@ -264,33 +280,69 @@ class GpuDevice:
         self._last_allocation = result
         self._alloc_residency_rev = residency_rev
         self._record_allocation(result)
+        self._rearm()
+
+    def _rearm(self) -> None:
+        """Anchor every resident kernel that has no anchor at its current
+        rate revision, and keep the device event at the smallest
+        ``(when, stamp)`` anchor.
+
+        Every write to the anchor table ends here before control returns
+        to the engine.  Stamps are reserved in resident order.  The event
+        moves (one cancel, one push) only when the minimum changed, and a
+        stalled anchor never owns it.
+        """
+        engine = self.engine
+        now = engine.now
+        armed = self._armed
+        owner = None
+        best_when = _INF
+        best_stamp = -1
         for kernel in self.resident_kernels():
-            record = self._armed.get(kernel.kernel_id)
-            if record is not None and record[0] == kernel.rate_rev:
-                # Unchanged rate: the provisional event is still exact.
-                continue
-            if record is not None and record[1] is not None:
-                self.engine.cancel(record[1])
-            self._arm(kernel, self.engine.now + kernel.time_to_completion())
+            anchor = armed.get(kernel.kernel_id)
+            if anchor is None or anchor[0] != kernel.rate_rev:
+                anchor = self._arm(kernel, now + kernel.time_to_completion())
+            when = anchor[1]
+            if when < best_when or (when == best_when and anchor[2] < best_stamp):
+                owner, best_when, best_stamp = kernel, when, anchor[2]
+        event = self._event
+        if event is not None:
+            if event.seq == best_stamp:
+                return
+            engine.cancel(event)
+        self._event_kernel = owner
+        self._event = None
+        if owner is not None:
+            self._event = engine.schedule_at_seq(
+                best_when, best_stamp, self._on_completion, f"complete:{owner.label}"
+            )
 
-    def _arm(self, kernel: StageKernel, when: float) -> None:
-        """Store an arm record for ``kernel`` completing at absolute ``when``."""
-        if when == float("inf"):
-            # Stalled (zero rate): no event, but remember the revision so
+    def _arm(self, kernel: StageKernel, when: float) -> Tuple[int, float, int]:
+        """Anchor ``kernel``'s completion at absolute time ``when``.
+
+        A finite time reserves an engine order stamp, exactly where a push
+        of its own would take a sequence number, and is validated here:
+        any anchor may own the device event later.
+        """
+        self.arms += 1
+        if when == _INF:
+            # Stalled (zero rate): no stamp, but remember the revision so
             # the kernel is only revisited when its rate moves.
-            self._armed[kernel.kernel_id] = (kernel.rate_rev, None)
-            return
-        event = self.engine.schedule_at(
-            max(when, self.engine.now),
-            lambda k=kernel: self._on_completion(k),
-            tag=f"complete:{kernel.label}",
-        )
-        self._armed[kernel.kernel_id] = (kernel.rate_rev, event)
+            anchor = (kernel.rate_rev, _INF, -1)
+        else:
+            engine = self.engine
+            when = validate_time(max(when, engine.now), "when")
+            anchor = (kernel.rate_rev, when, engine.reserve_seq())
+        self._armed[kernel.kernel_id] = anchor
+        return anchor
 
-    def _disarm(self, kernel_id: int) -> None:
-        record = self._armed.pop(kernel_id, None)
-        if record is not None and record[1] is not None:
-            self.engine.cancel(record[1])
+    def _disarm(self, kernel: StageKernel) -> None:
+        """Drop a detached kernel's anchor; move the event if it owned it."""
+        if (
+            self._armed.pop(kernel.kernel_id, None) is not None
+            and kernel is self._event_kernel
+        ):
+            self._rearm()
 
     def _record_allocation(self, result: AllocationResult) -> None:
         if self.trace is not None:
@@ -302,11 +354,13 @@ class GpuDevice:
                 resident=len(result.rates),
             )
 
-    def _on_completion(self, kernel: StageKernel) -> None:
-        self._armed.pop(kernel.kernel_id, None)
+    def _on_completion(self) -> None:
+        """The device event fired: its owner reached its anchored time."""
+        kernel = self._event_kernel
+        self._event = None
+        self.completions += 1
+        del self._armed[kernel.kernel_id]
         self._advance_progress()
-        if kernel.aborted:
-            return
         if not kernel.is_complete:
             residual = kernel.time_to_completion()
             if residual < TIME_EPS:
@@ -316,9 +370,9 @@ class GpuDevice:
                 kernel.force_complete()
             else:
                 # Accumulated per-step rounding left real residual work (the
-                # anchored completion time undershot): re-arm this kernel at
-                # its remaining time; rates are unchanged.
-                self._arm(kernel, self.engine.now + residual)
+                # anchored completion time undershot): re-anchor this kernel
+                # at its remaining time; rates are unchanged.
+                self._rearm()
                 return
         context = self.context(kernel.context_id)
         context.remove(kernel)

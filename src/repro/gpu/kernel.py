@@ -110,9 +110,9 @@ class StageKernel:
         #: Progress rate (single-SM seconds per wall second).
         self.rate: float = 0.0
         #: Revision counter bumped whenever the published ``rate`` actually
-        #: changes.  The device re-arms a kernel's provisional completion
-        #: event only when this revision moved: at a constant rate the
-        #: completion time fixed when the rate was last set stays exact.
+        #: changes.  The device re-anchors a kernel's completion only when
+        #: this revision moved: at a constant rate the completion time
+        #: fixed when the rate was last set stays exact.
         self.rate_rev: int = 0
         #: The share ``curve.speedup`` was last queried at (NaN: never)
         #: and its value.  The allocator queries again only when the share

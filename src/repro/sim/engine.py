@@ -3,25 +3,31 @@
 The engine is a classic binary-heap event loop.  Three properties matter for
 reproducing scheduler behaviour faithfully at speed:
 
-* **Determinism** — events scheduled for the same timestamp fire in the order
-  they were scheduled (stable FIFO tie-breaking via a monotonically
-  increasing sequence number).  Reruns of the same workload therefore produce
-  bit-identical traces.  Heap compaction preserves this: the live events'
-  ``(time, seq)`` keys are a total order, so a rebuilt heap pops in exactly
-  the same order as the original.
-* **Cheap cancellation** — rate-based execution re-arms provisional
-  completion events whenever a kernel's rate changes.  Cancelled events are
-  tombstoned and skipped when popped instead of being removed from the heap,
-  which keeps :meth:`SimulationEngine.cancel` amortised O(1).  Cancellation
-  goes through the engine whether it is invoked as ``engine.cancel(event)``
-  or directly on the handle (``event.cancel()``), so the pending-event
-  accounting can never drift.
+* **Determinism** — events fire in ``(time, seq)`` order, where ``seq`` is
+  an order stamp drawn from a monotone counter, so events scheduled for the
+  same timestamp fire in the order they were scheduled.  Reruns of the same
+  workload therefore produce bit-identical traces.  A client that keeps
+  several provisional events and pushes only the earliest (the GPU device)
+  reserves a stamp with :meth:`SimulationEngine.reserve_seq` wherever it
+  would otherwise have pushed, and pushes with
+  :meth:`SimulationEngine.schedule_at_seq`: the pushed event sorts among
+  same-time events exactly as the skipped pushes would have.  Heap
+  compaction preserves the order too: the live events' ``(time, seq)``
+  keys are a total order, so a rebuilt heap pops in exactly the same order
+  as the original.
+* **Cheap cancellation** — a device moves its one provisional completion
+  event whenever its earliest completion changes.  Cancelled events are
+  tombstoned and skipped when popped instead of being removed from the
+  heap, which keeps :meth:`SimulationEngine.cancel` amortised O(1).
+  Cancellation goes through the engine whether it is invoked as
+  ``engine.cancel(event)`` or directly on the handle (``event.cancel()``),
+  so the pending-event accounting can never drift.
 * **Bounded tombstone debt** — whenever cancelled events outnumber live
   ones, the heap is rebuilt without the tombstones (an O(n) pass paid at
   most every n cancellations, so still amortised O(1) per cancel).  Without
-  compaction a workload that cancels most of what it schedules — exactly
-  what rate-based completion re-arming does — grows the heap without bound
-  and pays an ever-larger ``log n`` on every push and pop.
+  compaction a workload that cancels most of what it schedules would grow
+  the heap without bound and pay an ever-larger ``log n`` on every push
+  and pop.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ class Event:
     time:
         Absolute simulated time at which the action fires.
     seq:
-        Engine-wide monotonically increasing sequence number; ties on
+        Order stamp reserved from the engine's monotone counter; ties on
         ``time`` are broken by ``seq`` so the event order is deterministic.
     action:
         Zero-argument callable invoked when the event fires.
@@ -145,10 +151,12 @@ class SimulationEngine:
     @property
     def scheduled_count(self) -> int:
         """Number of events ever pushed onto the heap (fired, pending or
-        cancelled).
+        cancelled), through either :meth:`schedule_at` or
+        :meth:`schedule_at_seq`.
 
-        The difference between two readings measures event churn — the
-        quantity the incremental device re-arming exists to minimise.
+        The difference between two readings measures event churn: a device
+        pushes only when its earliest completion moves, not once per
+        re-anchored kernel.
         """
         return self._scheduled
 
@@ -190,19 +198,47 @@ class SimulationEngine:
         self, when: float, action: Callable[[], None], tag: str = ""
     ) -> Event:
         """Schedule ``action`` at absolute simulated time ``when``."""
+        return self.schedule_at_seq(when, self.reserve_seq(), action, tag)
+
+    def reserve_seq(self) -> int:
+        """Reserve the next order stamp without pushing an event.
+
+        A client that keeps several provisional events and pushes only the
+        earliest reserves a stamp at every point where it would otherwise
+        have pushed.  Pushing later with that stamp orders the event among
+        same-time events exactly as the earlier push would have, so every
+        tie-break stays bit-identical.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
+    def schedule_at_seq(
+        self, when: float, seq: int, action: Callable[[], None], tag: str = ""
+    ) -> Event:
+        """Schedule ``action`` at ``when``, ordered by the reserved stamp ``seq``.
+
+        ``seq`` must come from :meth:`reserve_seq`.  One stamp may be
+        pushed again after the event carrying it was cancelled: that is how
+        a client moves its one pending event back to an older provisional
+        completion without changing its tie-break.
+        """
         validate_time(when, "when")
         if when < self._now - TIME_EPS:
             raise SimulationError(
                 f"cannot schedule event {tag!r} at {when} before now={self._now}"
             )
+        if not 0 <= seq < self._seq:
+            raise SimulationError(
+                f"cannot schedule event {tag!r} with unreserved order stamp {seq}"
+            )
         event = Event(
             time=max(when, self._now),
-            seq=self._seq,
+            seq=seq,
             action=action,
             tag=tag,
             _engine=self,
         )
-        self._seq += 1
         self._scheduled += 1
         heapq.heappush(self._heap, event)
         return event

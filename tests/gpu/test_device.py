@@ -70,6 +70,21 @@ class TestSingleKernel:
         # curve caps useful width at 10 SMs
         assert done[0][0] == pytest.approx(1.0 / 10.0)
 
+    def test_nan_speedup_rejected_at_submit(self):
+        # Every completion anchor is validated when it is written, not only
+        # the earliest one the device pushes to the engine.
+        class NanCurve:
+            def speedup(self, sms):
+                return float("nan")
+
+        engine, device, contexts, done = make_device()
+        kernel = StageKernel(
+            label="nan", curve=NanCurve(), work=1.0, width_demand=68.0,
+            deadline=1e9,
+        )
+        with pytest.raises(ValueError, match="NaN"):
+            device.submit(kernel, contexts[0])
+
 
 class TestConcurrency:
     def test_two_kernels_share_context(self):
@@ -147,6 +162,25 @@ class TestAbort:
         device.abort(queued)
         engine.run()
         assert len(done) == 4
+
+    def test_abort_event_owner_moves_event_to_survivor(self):
+        # "a" and "b" complete at the same instant in two contexts; "a"
+        # has the older stamp, so it owns the device event.  Aborting it
+        # leaves "b"'s rate untouched, and the event moves to b's anchor:
+        # one push, and b completes exactly when it always would have.
+        engine, device, contexts, done = make_device(num_contexts=2, sms=34.0)
+        a = make_kernel("a", work=1.0)
+        device.submit(a, contexts[0])
+        device.submit(make_kernel("b", work=1.0), contexts[1])
+        arms_before = device.arms
+        scheduled_before = engine.scheduled_count
+        device.abort(a)
+        assert device.arms == arms_before
+        assert engine.scheduled_count == scheduled_before + 1
+        assert engine.pending_count == 1
+        engine.run()
+        assert done == [(1 / 34, "b")]
+        assert device.completions == 1
 
     def test_abort_many_is_one_change_point(self):
         engine, device, contexts, done = make_device()
@@ -291,15 +325,37 @@ class TestStatistics:
 class TestIncrementalRearm:
     def test_unchanged_cross_context_rate_keeps_event(self):
         # Two under-subscribed contexts: submitting into context 1 cannot
-        # change context 0's rates, so only ONE new completion event may be
-        # scheduled (the old design re-armed both: 1 cancel + 2 pushes).
+        # change context 0's rates, so only "b" is anchored.  Both finish
+        # at the same instant and "a" has the older stamp, so a keeps the
+        # device event and nothing is pushed.
         engine, device, contexts, done = make_device(num_contexts=2, sms=34.0)
         device.submit(make_kernel("a", work=1.0), contexts[0])
+        arms_before = device.arms
         scheduled_before = engine.scheduled_count
         device.submit(make_kernel("b", work=1.0), contexts[1])
-        assert engine.scheduled_count == scheduled_before + 1
+        assert device.arms == arms_before + 1
+        assert engine.scheduled_count == scheduled_before
         engine.run()
-        assert len(done) == 2
+        assert [label for _, label in done] == ["a", "b"]
+
+    def test_undershot_completion_reanchors_at_residual(self):
+        # "a"'s anchored time undershoots (work added behind the device's
+        # back stands in for accumulated rounding): when its event fires,
+        # a is re-anchored at its residual time, and the device event
+        # moves to "b", now the earliest.
+        engine, device, contexts, done = make_device(num_contexts=2, sms=34.0)
+        a = make_kernel("a", work=1.0)
+        device.submit(a, contexts[0])
+        device.submit(make_kernel("b", work=1.5), contexts[1])
+        a.work_remaining += 1.0
+        arms_before = device.arms
+        engine.run()
+        assert done == [
+            (pytest.approx(1.5 / 34), "b"),
+            (pytest.approx(2.0 / 34), "a"),
+        ]
+        assert device.arms == arms_before + 1
+        assert device.completions == 3
 
     def test_queue_only_submit_skips_allocation_pass(self):
         engine, device, contexts, done = make_device()
@@ -326,17 +382,20 @@ class TestIncrementalRearm:
         assert len(trace.of_kind("allocation")) == allocations + 1
 
     def test_completion_rearms_only_affected_context(self):
-        # Kernel finishing in context 0 re-arms its context-mates; the
-        # untouched context 1 keeps its event.
+        # Kernel finishing in context 0 re-anchors its context-mates; the
+        # untouched context 1 keeps its anchor.
         engine, device, contexts, done = make_device(num_contexts=2, sms=34.0)
         device.submit(make_kernel("short", work=0.25), contexts[0])
         device.submit(make_kernel("long", work=1.0), contexts[0])
         device.submit(make_kernel("other", work=1.0), contexts[1])
+        arms_before = device.arms
         scheduled_before = engine.scheduled_count
         # run past short's completion only
         engine.run(max_events=1)
         assert [label for _, label in done] == ["short"]
-        # exactly one re-arm: "long" accelerated; "other" was untouched
+        # exactly one re-anchor: "long" accelerated; "other" was untouched
+        assert device.arms == arms_before + 1
+        # one push: the device event moves to "other", now the earliest
         assert engine.scheduled_count == scheduled_before + 1
         engine.run()
         assert len(done) == 3

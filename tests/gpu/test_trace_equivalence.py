@@ -1,8 +1,9 @@
 """Trace equivalence against recorded trace digests.
 
-The device re-arms a kernel's provisional completion event only when its
-rate revision moved and skips the allocation pass entirely when the
-resident set is untouched (see :mod:`repro.gpu.device`).  These tests pin
+The device re-anchors a kernel's completion only when its rate revision
+moved, keeps one engine event at the earliest anchor, and skips the
+allocation pass entirely when the resident set is untouched (see
+:mod:`repro.gpu.device`).  These tests pin
 what that produces: for every named scenario, scheduler variant,
 replication seed and jitter setting, the canonical trace (every record's
 exact float timestamp, kind and payload) must hash to the sha256 recorded
@@ -17,8 +18,9 @@ its failing assertions print.
 
 ``TestCeilingBoundRearm`` additionally pins the settle's exact cost in the
 ceiling-bound regime (aggregate cap saturated, every settle a uniform
-rescale): the device re-arms every resident kernel, while the allocator
-evaluates speedup curves only for kernels whose share moved.
+rescale): the device re-anchors every resident kernel but pushes at most
+one engine event, while the allocator evaluates speedup curves only for
+kernels whose share moved.
 """
 
 import functools
@@ -241,15 +243,16 @@ class TestCeilingBoundRearm:
     ceiling that stays saturated throughout.  Every completion then
     changes *every* surviving kernel's rate — the aggregate drops, the
     ceiling rescale factor moves, and the rescale is uniform — so the
-    device must re-arm each survivor (O(K) heap pushes per settle).  The
-    shares, though, move only inside the context that lost a kernel, and
-    the allocator evaluates a speedup curve only where the share moved.
+    device must re-anchor each survivor (O(K) anchor writes per settle),
+    yet it pushes only its one event, at the earliest anchor.  The shares,
+    though, move only inside the context that lost a kernel, and the
+    allocator evaluates a speedup curve only where the share moved.
     """
 
     @staticmethod
     def _completion_settles():
-        """Heap pushes and curve evaluations per completion settle, plus
-        the completion order."""
+        """Anchor writes, heap pushes and curve evaluations per completion
+        settle, plus the completion order and the device's fired events."""
         engine = SimulationEngine()
         spec = GpuDeviceSpec(total_sms=68, aggregate_speedup_cap=10.0)
         contexts = [SimContext(i, 17.0) for i in range(4)]
@@ -277,27 +280,33 @@ class TestCeilingBoundRearm:
                     ),
                     context,
                 )
-        pushes, evaluations = [], []
+        arms, pushes, evaluations = [], [], []
         while True:
+            armed = device.arms
             pushed = engine.scheduled_count
             evaluated = sum(curve.calls for curve in curves)
             seen = len(completions)
             if engine.run(max_events=1) == 0:
                 break
             assert len(completions) == seen + 1  # only completion events
+            arms.append(device.arms - armed)
             pushes.append(engine.scheduled_count - pushed)
             evaluations.append(sum(curve.calls for curve in curves) - evaluated)
-        return pushes, evaluations, completions
+        return arms, pushes, evaluations, completions, device.completions
 
     def test_incremental_rearms_every_survivor(self):
-        pushes, _, completions = self._completion_settles()
+        arms, pushes, _, completions, fired = self._completion_settles()
         assert len(completions) == 16
+        assert fired == 16
         # After the k-th completion, all (16 - k) survivors changed rate
-        # under the saturated ceiling and must each be re-armed.
-        assert pushes == [16 - k for k in range(1, 17)]
+        # under the saturated ceiling and must each be re-anchored ...
+        assert arms == [16 - k for k in range(1, 17)]
+        # ... but only the device's one event is pushed, at the earliest
+        # anchor, and none once the last kernel has completed.
+        assert pushes == [1] * 15 + [0]
 
     def test_settle_evaluates_only_moved_shares(self):
-        _, evaluations, _ = self._completion_settles()
+        _, _, evaluations, _, _ = self._completion_settles()
         # The contexts drain one after another; each settle evaluates only
         # the survivors of the context that lost a kernel, not all 15, 14,
         # ..., 0 survivors whose rate moved.

@@ -287,6 +287,38 @@ class TestUtilizationSweepArrivals:
         assert text.count("pivot utilization") == 2
         assert len(json.loads(out.read_text())["points"]) == 16
 
+    def test_pivots_print_once_per_task_count(self, tmp_path, capsys):
+        """A utilization sweep over two task counts prints one pivot line
+        per variant and task count (the pivot refuses to mix task counts)
+        and still writes ``--out``."""
+        out = tmp_path / "grid.json"
+        argv = [
+            "sweep",
+            "--scenario",
+            "mixed_fleet",
+            "--tasks",
+            "2,3",
+            "--utilizations",
+            "1.0,1.5",
+            "--duration",
+            "0.2",
+            "--warmup",
+            "0.05",
+            "--out",
+            str(out),
+        ]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        pivots = text.split("pivot utilization")[1].splitlines()[1:]
+        assert [
+            line.split(":")[0] for line in pivots if line.startswith("  ")
+        ] == [
+            f"  {variant} ({tasks} tasks)"
+            for tasks in (2, 3)
+            for variant in ("naive", "sgprs_1", "sgprs_1.5", "sgprs_2")
+        ]
+        assert len(json.loads(out.read_text())["points"]) == 16
+
 
 class TestSubmitFlag:
     """``sweep --submit``: initialise the run directory, compute nothing."""

@@ -91,6 +91,46 @@ class TestOrdering:
         assert run_once() == run_once()
 
 
+class TestReservedStamps:
+    def test_reserve_pushes_nothing(self):
+        engine = SimulationEngine()
+        assert [engine.reserve_seq() for _ in range(3)] == [0, 1, 2]
+        assert engine.scheduled_count == 0
+        assert engine.pending_count == 0
+        assert engine.schedule_at(1.0, lambda: None).seq == 3
+
+    def test_stamp_orders_same_time_events_by_reservation(self):
+        # A push with an older stamp fires before a same-time event that
+        # was scheduled before the push but after the reservation.
+        engine = SimulationEngine()
+        fired = []
+        stamp = engine.reserve_seq()
+        engine.schedule_at(1.0, lambda: fired.append("scheduled"))
+        engine.schedule_at_seq(1.0, stamp, lambda: fired.append("reserved"))
+        engine.run()
+        assert fired == ["reserved", "scheduled"]
+
+    def test_stamp_can_be_pushed_again_after_cancel(self):
+        engine = SimulationEngine()
+        fired = []
+        stamp = engine.reserve_seq()
+        engine.cancel(engine.schedule_at_seq(2.0, stamp, lambda: fired.append(1)))
+        engine.schedule_at_seq(2.0, stamp, lambda: fired.append(2))
+        assert engine.scheduled_count == 2
+        assert engine.pending_count == 1
+        engine.run()
+        assert fired == [2]
+        assert engine.processed_count == 1
+
+    @pytest.mark.parametrize("stamp", [-1, 1, 5])
+    def test_unreserved_stamp_rejected(self, stamp):
+        engine = SimulationEngine()
+        engine.reserve_seq()
+        with pytest.raises(SimulationError, match="unreserved"):
+            engine.schedule_at_seq(1.0, stamp, lambda: None)
+        assert engine.scheduled_count == 0
+
+
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         engine = SimulationEngine()
