@@ -43,11 +43,9 @@ def sweep():
 def test_fig3_scenario1_sweep(benchmark, sweep):
     # benchmark one representative heavy point so timing is meaningful
     # without re-running the whole sweep per round
-    from repro.workloads.scenarios import sweep_point
-
     benchmark.pedantic(
-        lambda: sweep_point(SCENARIO_1, "sgprs_1.5", 25,
-                            duration=1.5, warmup=0.5),
+        lambda: run_scenario_sweep(SCENARIO_1, [25], variants=["sgprs_1.5"],
+                                   duration=1.5, warmup=0.5),
         rounds=1,
         iterations=1,
     )

@@ -37,11 +37,9 @@ def sweep():
 
 
 def test_fig4_scenario2_sweep(benchmark, sweep):
-    from repro.workloads.scenarios import sweep_point
-
     benchmark.pedantic(
-        lambda: sweep_point(SCENARIO_2, "sgprs_1.5", 26,
-                            duration=1.5, warmup=0.5),
+        lambda: run_scenario_sweep(SCENARIO_2, [26], variants=["sgprs_1.5"],
+                                   duration=1.5, warmup=0.5),
         rounds=1,
         iterations=1,
     )
@@ -88,7 +86,7 @@ class TestFig4Shapes:
 
     def test_scenario2_pivot_not_worse_than_scenario1(self, sweep):
         """The paper reports scenario 2 performing better overall."""
-        from repro.workloads.scenarios import SCENARIO_1, sweep_point
+        from repro.workloads.scenarios import SCENARIO_1
 
         best2 = max(
             find_pivot(sweep[v]) or 0
@@ -96,9 +94,10 @@ class TestFig4Shapes:
         )
         # a single scenario-1 probe at that count: it must also be near
         # its own pivot (within one task)
-        probe = sweep_point(
-            SCENARIO_1, "sgprs_1.5", best2 + 2, duration=2.0, warmup=0.5
-        )
+        (probe,) = run_scenario_sweep(
+            SCENARIO_1, [best2 + 2], variants=["sgprs_1.5"], duration=2.0,
+            warmup=0.5,
+        )["sgprs_1.5"]
         assert probe.dmr > 0.0 or best2 >= 24
 
     def test_naive_pivot_much_earlier(self, sweep):

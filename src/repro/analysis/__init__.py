@@ -1,18 +1,7 @@
-"""Result analysis: pivots, capacity planning, timelines, persistence."""
+"""Result analysis: pivots, capacity estimates, timelines, persistence."""
 
-from repro.analysis.persistence import (
-    load_grid,
-    load_run_traces,
-    load_sweep,
-    save_grid,
-    save_sweep,
-)
+from repro.analysis.persistence import load_grid, load_run_traces, save_grid
 from repro.analysis.pivot import find_pivot, pivot_table
-from repro.analysis.planner import (
-    CapacityPlan,
-    naive_capacity_plan,
-    sgprs_capacity_plan,
-)
 from repro.analysis.report import (
     AGGREGATE_METRICS,
     aggregate_to_csv,
@@ -21,10 +10,6 @@ from repro.analysis.report import (
     render_fig1_table,
     render_sweep_table,
     sweep_to_csv,
-)
-from repro.analysis.schedulability import (
-    naive_capacity_estimate,
-    utilization_bound_tasks,
 )
 from repro.analysis.timeline import (
     KernelSpan,
@@ -44,11 +29,6 @@ __all__ = [
     "sweep_to_csv",
     "AGGREGATE_METRICS",
     "aggregate_to_csv",
-    "utilization_bound_tasks",
-    "naive_capacity_estimate",
-    "CapacityPlan",
-    "sgprs_capacity_plan",
-    "naive_capacity_plan",
     "KernelSpan",
     "extract_spans",
     "context_occupancy",
@@ -56,8 +36,6 @@ __all__ = [
     "render_gantt",
     "first_divergence",
     "render_aggregate_table",
-    "save_sweep",
-    "load_sweep",
     "save_grid",
     "load_grid",
     "load_run_traces",

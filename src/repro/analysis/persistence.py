@@ -2,18 +2,14 @@
 
 Sweeps are expensive; persisting them lets EXPERIMENTS.md, notebooks and
 regression checks reuse one run.  The format is a plain versioned JSON
-document, deliberately boring.
+document, deliberately boring: the *grid* document
+(``GRID_FORMAT_VERSION``) holds the full
+:class:`~repro.exp.grid.GridSpec` plus every per-seed
+:class:`~repro.exp.worker.PointResult`, so aggregation (mean/CI) can be
+redone offline without re-simulating.  ``repro sweep --out`` writes one
+and ``repro merge`` reads them.
 
-Two document shapes exist:
-
-* the classic *sweep* document (``FORMAT_VERSION``): seed-collapsed
-  ``variant -> points``, enough to re-render a figure;
-* the *grid* document (``GRID_FORMAT_VERSION``): the full
-  :class:`~repro.exp.grid.GridSpec` plus every per-seed
-  :class:`~repro.exp.worker.PointResult`, so aggregation (mean/CI) can be
-  redone offline without re-simulating.
-
-Grid documents additionally record the device-calibration fingerprint
+Grid documents also record the device-calibration fingerprint
 they were computed under, and :func:`merge_grid_dicts` — the engine of
 ``python -m repro merge`` — refuses to combine documents whose format
 versions or calibration fingerprints differ, or whose duplicate points
@@ -26,15 +22,13 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import Dict, Sequence, Union
 
 from repro.exp.grid import GridSpec
 from repro.exp.runner import GridResult
 from repro.exp.worker import PointResult
 from repro.speedup.calibration import DEFAULT_CALIBRATION
-from repro.workloads.scenarios import SweepPoint
 
-FORMAT_VERSION = 1
 #: v2: the serialized GridSpec/GridPoint carry the synthesis axes
 #: (workload/utilizations/period_class/zoo_mix/deadline_mode); a v1
 #: reader would choke on the new spec fields, so the bump turns that into
@@ -47,68 +41,6 @@ GRID_FORMAT_VERSION = 3
 #: Versions this reader can load: v1 documents lack the synthesis-axis
 #: fields and v2 documents lack the open-system fields; both default.
 _READABLE_GRID_VERSIONS = (1, 2, GRID_FORMAT_VERSION)
-
-
-def sweep_to_dict(sweep: Dict[str, List[SweepPoint]]) -> dict:
-    """Serialisable representation of a scenario sweep."""
-    return {
-        "version": FORMAT_VERSION,
-        "variants": {
-            variant: [
-                {
-                    "num_tasks": p.num_tasks,
-                    "total_fps": p.total_fps,
-                    "dmr": p.dmr,
-                    "utilization": p.utilization,
-                    "target_utilization": p.target_utilization,
-                }
-                for p in points
-            ]
-            for variant, points in sweep.items()
-        },
-    }
-
-
-def sweep_from_dict(payload: dict) -> Dict[str, List[SweepPoint]]:
-    """Inverse of :func:`sweep_to_dict`.
-
-    Raises
-    ------
-    ValueError
-        On a missing or unsupported format version.
-    """
-    version = payload.get("version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported sweep format version: {version!r}")
-    out: Dict[str, List[SweepPoint]] = {}
-    for variant, rows in payload["variants"].items():
-        out[variant] = [
-            SweepPoint(
-                variant=variant,
-                num_tasks=row["num_tasks"],
-                total_fps=row["total_fps"],
-                dmr=row["dmr"],
-                utilization=row["utilization"],
-                # absent in pre-synth documents
-                target_utilization=row.get("target_utilization", 0.0),
-            )
-            for row in rows
-        ]
-    return out
-
-
-def save_sweep(
-    sweep: Dict[str, List[SweepPoint]], path: Union[str, Path]
-) -> None:
-    """Write a sweep to a JSON file."""
-    with open(path, "w") as handle:
-        json.dump(sweep_to_dict(sweep), handle, indent=1)
-
-
-def load_sweep(path: Union[str, Path]) -> Dict[str, List[SweepPoint]]:
-    """Read a sweep from a JSON file."""
-    with open(path) as handle:
-        return sweep_from_dict(json.load(handle))
 
 
 def grid_to_dict(result: GridResult) -> dict:

@@ -1,57 +1,16 @@
 """Back-of-envelope schedulability analysis.
 
 These closed-form estimates are *not* used by the online scheduler — they
-exist so users (and tests) can sanity-check where pivot points should fall
-before running a sweep, and so the benchmark harness can assert the
-simulated pivots land near the analytic capacity.
+exist so users (``repro synth`` prints them) can sanity-check where pivot
+points should fall before running a sweep.  Each gives a taskset's demand
+as a fraction of one scheduler's capacity; for identical tasks, demand
+crosses 1 at the task count the capacity allows.
 """
 
 from __future__ import annotations
 
-from repro.core.task import TaskSet, TaskSpec
+from repro.core.task import TaskSet
 from repro.gpu.spec import GpuDeviceSpec
-from repro.speedup.composite import CompositeWorkload
-
-
-def naive_capacity_estimate(
-    network: CompositeWorkload,
-    num_contexts: int,
-    sms_per_context: float,
-    switch_overhead: float = 0.0,
-) -> float:
-    """Jobs/second the naive scheduler can sustain.
-
-    Each partition serves whole jobs sequentially at its partition size,
-    paying ``switch_overhead`` per job once tasks interleave.
-    """
-    if num_contexts < 1:
-        raise ValueError("num_contexts must be >= 1")
-    service_time = network.time_at(sms_per_context) + switch_overhead
-    return num_contexts / service_time
-
-
-def sgprs_capacity_estimate(
-    network: CompositeWorkload,
-    spec: GpuDeviceSpec,
-) -> float:
-    """Jobs/second SGPRS can sustain at full device saturation.
-
-    At saturation the device's aggregate progress ceiling binds: total
-    progress is ``aggregate_speedup_cap`` single-SM seconds per second, and
-    each job needs ``base_time`` single-SM seconds of progress.
-    """
-    return spec.aggregate_speedup_cap / network.base_time
-
-
-def utilization_bound_tasks(
-    task: TaskSpec,
-    capacity_jobs_per_second: float,
-) -> int:
-    """Largest task count whose demand stays within a capacity estimate."""
-    if capacity_jobs_per_second <= 0:
-        raise ValueError("capacity must be positive")
-    demand_per_task = task.fps
-    return int(capacity_jobs_per_second / demand_per_task)
 
 
 def taskset_naive_utilization(

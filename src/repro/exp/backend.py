@@ -27,15 +27,15 @@ protocol (:class:`repro.exp.dist.ClaimBoard`) rests on nothing else:
 ``lease(key, data, token) -> bool``
     Compare-and-swap: replace the record **iff its current version
     token still equals** ``token``.  Single-winner: of N concurrent
-    CAS attempts over one token, at most one succeeds.  May fail
-    spuriously (e.g. the LocalFS emulation loses the key to a
-    concurrent fresh ``put_exclusive`` mid-swap); callers must treat
+    CAS attempts over one token, at most one succeeds.  The key never
+    goes absent during the swap, whether it succeeds or not, so a
+    concurrent ``put_exclusive`` on it fails.  Callers must treat
     ``False`` as "observe again", never as ownership.
 ``delete_if_owner(key, owner) -> bool``
     Delete the record iff it is a JSON object whose ``"owner"`` field
     equals ``owner``, atomically with respect to concurrent
     replacements: a record replaced by a foreign owner concurrently is
-    never deleted (worst case it reports ``False``).
+    never deleted, and a record that does not match never goes absent.
 ``delete(key) -> bool``
     Unconditional delete; ``False`` if the key was absent.
 ``list_prefix(prefix) -> list[str]``
@@ -55,9 +55,9 @@ Implementations
     Today's on-disk layout, bit-compatible with run directories written
     before this abstraction existed.  ``put_exclusive`` is a temp file
     published via :func:`os.link` (exclusive-or-fail *and*
-    complete-on-appearance); ``lease``/``delete_if_owner`` go through
-    the single-winner ``os.rename`` tombstone trick (rename is atomic
-    on POSIX; exactly one concurrent renamer wins).
+    complete-on-appearance); ``lease``/``delete_if_owner`` hold an
+    exclusive :func:`fcntl.flock` on the key's lock file while they
+    read, compare and then :func:`os.replace` or unlink the record.
 :class:`InMemoryBackend`
     A locked dict — protocol tests without tmpdirs, the reference
     semantics :class:`LocalFSBackend` is judged against, and the trace
@@ -70,15 +70,21 @@ call of an operation, and drive the whole protocol through it.
 
 from __future__ import annotations
 
+import fcntl
 import itertools
 import json
 import os
 import tempfile
 import threading
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
+
+#: Suffix of :class:`LocalFSBackend`'s per-key lock files.  They sit
+#: beside their keys, are never deleted and are not keys themselves.
+_LOCK_SUFFIX = ".lock"
 
 
 @dataclass(frozen=True)
@@ -142,11 +148,14 @@ class StorageBackend(ABC):
 class LocalFSBackend(StorageBackend):
     """Keys as files under a root directory (the historical layout).
 
-    Version tokens are the record's raw bytes: the CAS in :meth:`lease`
-    is content-conditional, arbitrated by the atomic ``os.rename`` of
-    the current file to a unique tombstone — exactly one concurrent
-    renamer can win, after which the content is verified against the
-    token and either committed or restored.
+    Version tokens are the record's raw bytes, so the CAS in
+    :meth:`lease` is content-conditional.  :meth:`lease` and
+    :meth:`delete_if_owner` hold an exclusive :func:`fcntl.flock` on the
+    key's lock file (``<key>.lock``) while they read, compare and then
+    :func:`os.replace` or unlink the record.  So no two of them
+    interleave on one key, and the record never goes absent while it is
+    compared: :meth:`put_exclusive`, which takes no lock, cannot land
+    in between.  :meth:`list_prefix` skips lock files.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -154,7 +163,6 @@ class LocalFSBackend(StorageBackend):
         # (e.g. load_manifest on a wrong path) must not litter the
         # filesystem with empty directories
         self.root = Path(root)
-        self._nonce = itertools.count()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LocalFSBackend({str(self.root)!r})"
@@ -216,70 +224,41 @@ class LocalFSBackend(StorageBackend):
                 pass
             raise
 
-    def _grab_tombstone(self, path: Path) -> Optional[Path]:
-        """Atomically move ``path`` aside; ``None`` if we lost the race."""
-        tombstone = path.with_name(
-            f"{path.name}.ts-{os.getpid()}-{next(self._nonce)}"
-        )
-        try:
-            os.rename(path, tombstone)
-        except OSError:
-            return None
-        return tombstone
+    @contextmanager
+    def _key_lock(self, path: Path) -> Iterator[bool]:
+        """Hold the exclusive lock of the key at ``path`` for the block.
 
-    def _restore_tombstone(self, tombstone: Path, path: Path) -> None:
-        """Put a mistakenly-grabbed record back (best effort: if a fresh
-        record already reappeared at ``path``, the grabbed one is an
-        older revision and dropping it is correct)."""
+        Yields whether the lock is held: it is not when the key's
+        directory, and so the key, does not exist.  flock locks belong
+        to the open file, so threads of one process exclude each other.
+        """
         try:
-            os.link(tombstone, path)
-        except OSError:
-            pass
+            fd = os.open(f"{path}{_LOCK_SUFFIX}", os.O_RDWR | os.O_CREAT, 0o644)
+        except FileNotFoundError:
+            yield False
+            return
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield True
+        finally:
+            os.close(fd)  # closing the file releases the lock
 
     def lease(self, key: str, data: bytes, token: object) -> bool:
-        path = self._path(key)
-        tombstone = self._grab_tombstone(path)
-        if tombstone is None:
-            return False  # vanished or a rival renamer won
-        try:
-            current = tombstone.read_bytes()
-        except OSError:
-            current = None
-        if current != token:
-            # the record changed between the caller's read and our
-            # rename: not our revision to replace
-            self._restore_tombstone(tombstone, path)
-            try:
-                os.unlink(tombstone)
-            except OSError:
-                pass
-            return False
-        try:
-            os.unlink(tombstone)
-        except OSError:
-            pass
-        # the key-absent window here is inherent to rename-based CAS: a
-        # concurrent fresh put_exclusive may land first, in which case
-        # the lease fails and the caller observes again
-        return self.put_exclusive(key, data)
+        with self._key_lock(self._path(key)) as held:
+            record = self.read(key) if held else None
+            if record is None or record.token != token:
+                return False
+            self.atomic_replace(key, data)
+            return True
 
     def delete_if_owner(self, key: str, owner: str) -> bool:
-        path = self._path(key)
-        tombstone = self._grab_tombstone(path)
-        if tombstone is None:
-            return False
-        try:
-            grabbed = tombstone.read_bytes()
-        except OSError:
-            grabbed = b""
-        matched = record_owner(grabbed) == owner and owner != ""
-        if not matched:
-            self._restore_tombstone(tombstone, path)
-        try:
-            os.unlink(tombstone)
-        except OSError:
-            pass
-        return matched
+        with self._key_lock(self._path(key)) as held:
+            record = self.read(key) if held else None
+            if record is None or owner == "":
+                return False
+            if record_owner(record.data) != owner:
+                return False
+            return self.delete(key)
 
     def delete(self, key: str) -> bool:
         try:
@@ -293,6 +272,8 @@ class LocalFSBackend(StorageBackend):
         for directory, _, files in os.walk(self.root):
             base = Path(directory).relative_to(self.root)
             for name in files:
+                if name.endswith(_LOCK_SUFFIX):
+                    continue
                 key = str(base / name) if str(base) != "." else name
                 key = key.replace(os.sep, "/")
                 if key.startswith(prefix):

@@ -36,8 +36,9 @@ Protocol
   backend's compare-and-swap :meth:`~repro.exp.backend.StorageBackend.\
 lease` on the exact revision it observed, so of any number of
   concurrent stealers (and fresh claimers) exactly one ends up owning
-  the claim.  On the local filesystem the CAS is arbitrated by an
-  atomic ``os.rename`` tombstone.
+  the claim.  On the local filesystem the CAS holds a per-key lock file
+  and swaps with ``os.replace``, so the claim never goes absent while a
+  stealer compares it.
 * **Completion** is recorded by the :class:`~repro.exp.cache.ResultCache`
   checkpoint (atomic write), never by the claim file, so every finished
   point survives any crash and an interrupted sweep is resumable: a

@@ -137,84 +137,21 @@ def intra_context_shares(
     return shares
 
 
-class WaterfillCache:
-    """Bit-transparent memoisation of :func:`intra_context_shares`.
-
-    The water-fill's output — values *and* dict insertion order (which
-    capping round each kernel left in) — is a pure function of the budget
-    and the ordered ``(weight, width_demand)`` sequence of the resident
-    kernels; the kernel identities only name the dict keys.  Backlogged
-    runs re-solve the same handful of shapes thousands of times (every
-    residency change re-fills that context, and pipelines reuse a few
-    stage profiles), so the cache keys on that shape tuple and stores the
-    solution as ``(input position, share)`` pairs **in the original
-    insertion order**.  Replay rebuilds the dict in that same order with
-    the same floats, so downstream order-sensitive consumers — notably
-    ``sum(shares.values())`` in :func:`compute_allocation` — see bit-identical
-    results; the cache is invisible in every trace.
-
-    Keys are value tuples (no ``id()``), so object lifetime cannot alias
-    entries.  The table is cleared wholesale past :attr:`MAX_ENTRIES` — a
-    crude but sufficient bound, since real runs see few distinct shapes.
-    """
-
-    MAX_ENTRIES = 4096
-
-    def __init__(self) -> None:
-        self._entries: Dict[
-            Tuple[float, Tuple[Tuple[float, float], ...]],
-            Tuple[Tuple[int, float], ...],
-        ] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def shares(
-        self, kernels: Sequence[StageKernel], nominal_sms: float
-    ) -> Dict[int, float]:
-        """Cached :func:`intra_context_shares` — same dict, same bits."""
-        if not kernels:
-            return {}
-        key = (
-            nominal_sms,
-            tuple((k.weight, k.width_demand) for k in kernels),
-        )
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            return {
-                kernels[position].kernel_id: share
-                for position, share in cached
-            }
-        self.misses += 1
-        shares = intra_context_shares(kernels, nominal_sms)
-        position_of = {k.kernel_id: i for i, k in enumerate(kernels)}
-        if len(self._entries) >= self.MAX_ENTRIES:
-            self._entries.clear()
-        self._entries[key] = tuple(
-            (position_of[kernel_id], share)
-            for kernel_id, share in shares.items()
-        )
-        return shares
-
-
 def compute_allocation(
     contexts: Sequence[SimContext],
     total_sms: float,
     aggregate_cap: float,
     params: AllocationParams = AllocationParams(),
-    cache: "WaterfillCache | None" = None,
 ) -> AllocationResult:
     """Allocate SM shares and progress rates for all resident kernels.
 
-    ``cache`` optionally memoises the per-context water-fills (see
-    :class:`WaterfillCache`); results are bit-identical either way.  A
-    kernel's curve is queried only when its effective share differs from
-    the one it was last queried at (the pair is kept on the kernel as
-    ``curve_share``/``curve_speedup``): a curve is a pure function of the
-    share, so this memo is bit-transparent.  Composite curves memoise
-    their own speedups, so what it skips is a memo lookup, not a curve
-    evaluation; most settles move few shares, and on an overloaded
-    8-context x 30-task point it still saves 1-4% of the wall time.
+    A kernel's curve is queried only when its effective share differs
+    from the one it was last queried at (the pair is kept on the kernel
+    as ``curve_share``/``curve_speedup``): a curve is a pure function of
+    the share, so this memo is bit-transparent.  Composite curves
+    memoise their own speedups, so what it skips is a memo lookup, not a
+    curve evaluation; most settles move few shares, and on an overloaded
+    8-context x 30-task point it still saves about 2.6% of the wall time.
     """
     result = AllocationResult()
     per_context: List[Tuple[SimContext, Dict[int, float]]] = []
@@ -223,10 +160,7 @@ def compute_allocation(
         kernels = context.resident_kernels()
         if not kernels:
             continue
-        if cache is not None:
-            shares = cache.shares(kernels, context.nominal_sms)
-        else:
-            shares = intra_context_shares(kernels, context.nominal_sms)
+        shares = intra_context_shares(kernels, context.nominal_sms)
         per_context.append((context, shares))
         granted_total += sum(shares.values())
 

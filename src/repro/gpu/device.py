@@ -41,7 +41,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.gpu.allocator import (
     AllocationParams,
     AllocationResult,
-    WaterfillCache,
     compute_allocation,
 )
 from repro.gpu.context import SimContext
@@ -106,8 +105,6 @@ class GpuDevice:
         #: ``(when, stamp)`` anchor, and the kernel that anchor belongs to.
         self._event: Optional[Event] = None
         self._event_kernel: Optional[StageKernel] = None
-        #: Bit-transparent memoisation of per-context water-fills.
-        self._shares_cache = WaterfillCache()
         self._start_time = engine.now
         self._last_update = engine.now
         self._last_allocation = AllocationResult()
@@ -115,8 +112,6 @@ class GpuDevice:
         #: unchanged snapshot proves the pass would reproduce itself.
         self._alloc_residency_rev = -1
         self._settling = False
-        self._resident_cache: List[StageKernel] = []
-        self._resident_cache_rev = -1
         # Accumulated statistics
         self.total_work_done = 0.0
         self.busy_time = 0.0
@@ -181,20 +176,12 @@ class GpuDevice:
         self._disarm(kernel)
 
     def resident_kernels(self) -> List[StageKernel]:
-        """All kernels currently on streams, across contexts.
-
-        Cached between residency changes; treat the result as read-only
-        (the cache is replaced, never mutated in place, so held references
-        stay stable snapshots).
-        """
-        rev = self._residency_rev()
-        if rev != self._resident_cache_rev:
-            kernels: List[StageKernel] = []
-            for context in self.contexts:
-                kernels.extend(context.resident_kernels())
-            self._resident_cache = kernels
-            self._resident_cache_rev = rev
-        return self._resident_cache
+        """All kernels currently on streams, across contexts, in context
+        order: a new list built from each context's cached one."""
+        kernels: List[StageKernel] = []
+        for context in self.contexts:
+            kernels.extend(context.resident_kernels())
+        return kernels
 
     @property
     def last_allocation(self) -> AllocationResult:
@@ -274,7 +261,6 @@ class GpuDevice:
             float(self.spec.total_sms),
             self.spec.aggregate_speedup_cap,
             self.params,
-            cache=self._shares_cache,
         )
         self.alloc_passes += 1
         self._last_allocation = result

@@ -23,7 +23,6 @@ from repro.workloads.scenarios import (
     list_all_scenarios,
     run_scenario_sweep,
     scenario_grid,
-    sweep_point,
 )
 from repro.workloads.synth import (
     SynthScenario,
@@ -46,7 +45,6 @@ __all__ = [
     "SweepPoint",
     "run_scenario_sweep",
     "scenario_grid",
-    "sweep_point",
     "list_all_scenarios",
     "SynthSpec",
     "SynthScenario",

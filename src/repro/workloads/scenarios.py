@@ -19,17 +19,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.context_pool import ContextPoolConfig
-from repro.core.runner import RunConfig, RunResult, run_simulation
-from repro.exp.grid import GridPoint, GridSpec, derive_seed, resolve_variant
+from repro.exp.grid import GridSpec
 from repro.exp.runner import run_grid
-from repro.exp.worker import run_point
-from repro.gpu.spec import RTX_2080_TI, GpuDeviceSpec
-from repro.workloads.generator import (
-    DEFAULT_NUM_STAGES,
-    DEFAULT_PERIOD,
-    identical_periodic_tasks,
-)
+from repro.workloads.generator import DEFAULT_NUM_STAGES
 from repro.workloads.synth.scenarios import list_synth_scenarios
 
 #: The over-subscription levels the paper evaluates (SGPRS_os notation).
@@ -42,14 +34,6 @@ class Scenario:
 
     name: str
     num_contexts: int
-
-    def pool(
-        self, oversubscription: float, spec: GpuDeviceSpec = RTX_2080_TI
-    ) -> ContextPoolConfig:
-        """Pool config at one over-subscription level."""
-        return ContextPoolConfig.from_oversubscription(
-            self.num_contexts, oversubscription, spec
-        )
 
 
 #: Scenario 1: two contexts (paper Fig. 3).
@@ -106,91 +90,6 @@ class SweepPoint:
     dmr: float
     utilization: float
     target_utilization: float = 0.0
-
-
-def sweep_point(
-    scenario: Scenario,
-    variant: str,
-    num_tasks: int,
-    duration: float = 6.0,
-    warmup: float = 1.5,
-    spec: GpuDeviceSpec = RTX_2080_TI,
-    num_stages: int = DEFAULT_NUM_STAGES,
-    period: float = DEFAULT_PERIOD,
-    seed: int = 0,
-    work_jitter_cv: float = 0.0,
-) -> SweepPoint:
-    """Run one point of a scenario sweep.
-
-    ``variant`` is ``"naive"`` or ``"sgprs_<os>"`` with ``<os>`` one of the
-    over-subscription levels, e.g. ``"sgprs_1.5"``.  On the default device
-    this routes through :func:`repro.exp.worker.run_point` — the same code
-    path the parallel harness shards over processes, with the same
-    per-point seed derivation, so a standalone point is bit-identical to
-    the corresponding cell of a grid run with the same replication seed.
-    """
-    if spec == RTX_2080_TI:
-        # mirror GridSpec.points(): with jitter the simulation seed is
-        # derived from the point's coordinates so distinct points never
-        # share a jitter stream; without jitter the RNG is never used
-        run_seed = (
-            derive_seed(seed, scenario.name, variant, num_tasks)
-            if work_jitter_cv > 0.0
-            else seed
-        )
-        result = run_point(
-            GridPoint(
-                scenario=scenario.name,
-                num_contexts=scenario.num_contexts,
-                variant=variant,
-                num_tasks=num_tasks,
-                seed=run_seed,
-                base_seed=seed,
-                duration=duration,
-                warmup=warmup,
-                work_jitter_cv=work_jitter_cv,
-                num_stages=num_stages,
-                period=period,
-            )
-        )
-        return SweepPoint(
-            variant=variant,
-            num_tasks=num_tasks,
-            total_fps=result.total_fps,
-            dmr=result.dmr,
-            utilization=result.utilization,
-        )
-    # Non-default device specs fall back to a direct run (the grid harness
-    # is pinned to the paper's RTX 2080 Ti).
-    scheduler, oversubscription, task_stages = resolve_variant(
-        variant, num_stages
-    )
-    pool = scenario.pool(oversubscription, spec)
-    tasks = identical_periodic_tasks(
-        count=num_tasks,
-        nominal_sms=pool.sms_per_context,
-        period=period,
-        num_stages=task_stages,
-    )
-    result: RunResult = run_simulation(
-        tasks,
-        RunConfig(
-            pool=pool,
-            scheduler=scheduler,
-            duration=duration,
-            warmup=warmup,
-            spec=spec,
-            work_jitter_cv=work_jitter_cv,
-            seed=seed,
-        ),
-    )
-    return SweepPoint(
-        variant=variant,
-        num_tasks=num_tasks,
-        total_fps=result.total_fps,
-        dmr=result.dmr,
-        utilization=result.utilization,
-    )
 
 
 def default_variants() -> List[str]:

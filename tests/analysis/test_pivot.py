@@ -4,13 +4,11 @@ import pytest
 
 from repro.analysis.pivot import find_pivot, pivot_table
 from repro.analysis.schedulability import (
-    naive_capacity_estimate,
-    sgprs_capacity_estimate,
-    utilization_bound_tasks,
+    taskset_naive_utilization,
+    taskset_sgprs_utilization,
 )
-from repro.dnn.resnet import build_resnet18
 from repro.gpu.spec import RTX_2080_TI
-from repro.speedup.composite import composite_for_ops
+from repro.workloads.generator import identical_periodic_tasks
 from repro.workloads.scenarios import SweepPoint
 
 
@@ -60,40 +58,36 @@ class TestPivotTable:
 
 
 class TestCapacityEstimates:
-    @pytest.fixture(scope="class")
-    def network(self):
-        graph = build_resnet18()
-        return composite_for_ops("net", graph.topological_order())
+    """The capacity model ``repro synth`` prints, on the paper's identical
+    30 fps ResNet18 tasks: demand crosses 1 where the closed-form
+    capacities put it (494.7 jobs/s for naive on 2 x 34 SMs, 757.6 jobs/s
+    for SGPRS at the device's aggregate ceiling)."""
 
-    def test_naive_capacity_scenario1(self, network):
-        capacity = naive_capacity_estimate(network, 2, 34.0)
-        # two 34-SM partitions running ~4 ms jobs -> ~500/s
-        assert 400 <= capacity <= 600
-
-    def test_switch_overhead_reduces_capacity(self, network):
-        base = naive_capacity_estimate(network, 2, 34.0)
-        loaded = naive_capacity_estimate(network, 2, 34.0, switch_overhead=1e-3)
-        assert loaded < base
-
-    def test_sgprs_capacity(self, network):
-        capacity = sgprs_capacity_estimate(network, RTX_2080_TI)
-        # the sweep plateaus near 750 fps
-        assert 700 <= capacity <= 800
-
-    def test_utilization_bound(self, network):
-        from repro.core.profiling import prepare_task
-        task = prepare_task(
-            "t", build_resnet18(), period=1 / 30, num_stages=6, nominal_sms=34.0
+    @staticmethod
+    def tasks(count, num_stages):
+        return identical_periodic_tasks(
+            count, nominal_sms=34.0, num_stages=num_stages
         )
-        bound = utilization_bound_tasks(task, 750.0)
-        assert bound == 25
 
-    def test_invalid_inputs(self, network):
-        with pytest.raises(ValueError):
-            naive_capacity_estimate(network, 0, 34.0)
-        from repro.core.profiling import prepare_task
-        task = prepare_task(
-            "t", build_resnet18(), period=1 / 30, num_stages=2, nominal_sms=34.0
+    def test_naive_capacity_scenario1(self):
+        below = taskset_naive_utilization(self.tasks(16, 1), 2, 34.0)
+        above = taskset_naive_utilization(self.tasks(17, 1), 2, 34.0)
+        assert below == pytest.approx(0.970, abs=5e-4)
+        assert above == pytest.approx(1.031, abs=5e-4)
+
+    def test_switch_overhead_reduces_capacity(self):
+        base = taskset_naive_utilization(self.tasks(16, 1), 2, 34.0)
+        loaded = taskset_naive_utilization(
+            self.tasks(16, 1), 2, 34.0, switch_overhead=1e-3
         )
+        assert loaded > base
+
+    def test_sgprs_capacity(self):
+        below = taskset_sgprs_utilization(self.tasks(25, 6), RTX_2080_TI)
+        above = taskset_sgprs_utilization(self.tasks(26, 6), RTX_2080_TI)
+        assert below == pytest.approx(0.990, abs=5e-4)
+        assert above == pytest.approx(1.030, abs=5e-4)
+
+    def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            utilization_bound_tasks(task, 0.0)
+            taskset_naive_utilization(self.tasks(2, 1), 0, 34.0)

@@ -17,6 +17,7 @@ Three layers:
 """
 
 import json
+import sys
 import threading
 import time
 
@@ -62,6 +63,40 @@ def make_backend(name, tmp_path):
 def backend(request, tmp_path):
     """One raw backend instance per parametrized run."""
     return make_backend(request.param, tmp_path)
+
+
+def stale_steal_race(backend, stealers=8):
+    """Race ``stealers`` workers for one dead worker's stale claim.
+
+    Returns the owners whose ``try_claim`` succeeded and the owner the
+    run store records afterwards.
+    """
+    init_run(backend, SPEC)
+    point = next(SPEC.points())
+    dead = ClaimBoard(backend, owner="dead", ttl=60.0, clock=lambda: 0.0)
+    assert dead.try_claim(point)
+    wins = []
+    lock = threading.Lock()
+    barrier = threading.Barrier(stealers, timeout=30.0)
+
+    def stealer(owner):
+        board = ClaimBoard(backend, owner=owner, ttl=60.0)
+        barrier.wait()
+        if board.try_claim(point):
+            with lock:
+                wins.append(owner)
+
+    threads = [
+        threading.Thread(target=stealer, args=(f"s{i}",))
+        for i in range(stealers)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "stealer thread hung"
+    observer = ClaimBoard(backend, owner="observer", ttl=60.0)
+    return wins, observer.owner_of(point)
 
 
 class TestBackendContract:
@@ -135,6 +170,42 @@ class TestBackendContract:
             thread.join()
         assert len(winners) == 1, f"multiple CAS winners: {winners}"
         assert backend.read("k").data == winners[0].encode()
+
+    def test_stale_lease_never_uncovers_the_key(self, backend):
+        """A CAS on an out-of-date token fails without the record ever
+        going absent: a concurrent exclusive put never lands mid-swap."""
+        backend.atomic_replace("k", b"old")
+        stale = backend.read("k").token
+        backend.atomic_replace("k", b"current")
+        landed = []
+        barrier = threading.Barrier(8, timeout=30.0)
+
+        def leaser():
+            barrier.wait()
+            for _ in range(300):
+                if backend.lease("k", b"leased", stale):
+                    landed.append("lease")
+
+        def putter():
+            barrier.wait()
+            for _ in range(300):
+                if backend.put_exclusive("k", b"put"):
+                    landed.append("put")
+
+        threads = [threading.Thread(target=leaser) for _ in range(4)]
+        threads += [threading.Thread(target=putter) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive(), "contender thread hung"
+        finally:
+            sys.setswitchinterval(interval)
+        assert landed == []
+        assert backend.read("k").data == b"current"
 
     def test_delete_if_owner_conditions_on_the_owner(self, backend):
         record = json.dumps({"owner": "alice", "heartbeat": 1.0}).encode()
@@ -235,32 +306,28 @@ class TestProtocolOverBackends:
         assert multi == {}, f"points with != 1 owner: {multi}"
 
     def test_stale_steal_has_single_winner(self, backend):
-        init_run(backend, SPEC)
-        point = next(SPEC.points())
-        dead = ClaimBoard(backend, owner="dead", ttl=60.0, clock=lambda: 0.0)
-        assert dead.try_claim(point)
-        wins = []
-        lock = threading.Lock()
-        barrier = threading.Barrier(8)
-
-        def stealer(owner):
-            board = ClaimBoard(backend, owner=owner, ttl=60.0)
-            barrier.wait()
-            if board.try_claim(point):
-                with lock:
-                    wins.append(owner)
-
-        threads = [
-            threading.Thread(target=stealer, args=(f"s{i}",))
-            for i in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        wins, owner = stale_steal_race(backend)
         assert len(wins) == 1, f"stale claim stolen by {wins}"
-        observer = ClaimBoard(backend, owner="observer", ttl=60.0)
-        assert observer.owner_of(point) == wins[0]
+        assert owner == wins[0]
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_stale_steal_stress_has_single_winner(self, name, tmp_path):
+        """The steal race, repeated with the interpreter switching threads
+        as often as it can.  How often a CAS that lets the key go absent
+        yields two winners here depends on host load;
+        ``test_stale_lease_never_uncovers_the_key`` forces that window."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(20):
+                backend = make_backend(name, tmp_path / f"round{round_}")
+                wins, owner = stale_steal_race(backend)
+                assert len(wins) == 1, (
+                    f"round {round_}: stale claim stolen by {wins}"
+                )
+                assert owner == wins[0]
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_claim_fleet_merges_to_whole(self, backend):
         init_run(backend, SPEC)

@@ -95,33 +95,6 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="oversubscription"):
             run_point(point)
 
-    def test_sweep_point_matches_grid_cell_under_jitter(self):
-        # the standalone entry point derives the same per-point seed as
-        # the grid, so both produce bit-identical metrics
-        from repro.workloads.scenarios import SCENARIO_1, run_scenario_sweep, sweep_point
-
-        standalone = sweep_point(
-            SCENARIO_1,
-            "sgprs_1.5",
-            3,
-            duration=0.6,
-            warmup=0.2,
-            seed=5,
-            work_jitter_cv=0.2,
-        )
-        (cell,) = run_scenario_sweep(
-            SCENARIO_1,
-            [3],
-            variants=["sgprs_1.5"],
-            duration=0.6,
-            warmup=0.2,
-            seeds=(5,),
-            work_jitter_cv=0.2,
-        )["sgprs_1.5"]
-        assert standalone.total_fps == cell.total_fps
-        assert standalone.dmr == cell.dmr
-        assert standalone.utilization == cell.utilization
-
 
 class TestMeanCi:
     def test_single_value_has_zero_ci(self):

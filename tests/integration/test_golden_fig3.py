@@ -17,7 +17,7 @@ the constants here alongside ``results/bench_fig3.txt``.
 
 import pytest
 
-from repro.workloads.scenarios import SCENARIO_1, sweep_point
+from repro.workloads.scenarios import SCENARIO_1, run_scenario_sweep
 
 # results/bench_fig3.txt grid parameters
 DURATION = 3.0
@@ -33,18 +33,23 @@ GOLDEN_SGPRS1_FPS = 745.0
 GOLDEN_SGPRS1_DMR = 0.323
 
 
+def headline_point(variant):
+    """The 30-task cell of ``variant`` in the benchmark grid."""
+    sweep = run_scenario_sweep(
+        SCENARIO_1, [TASKS], variants=[variant], duration=DURATION,
+        warmup=WARMUP,
+    )
+    return sweep[variant][0]
+
+
 @pytest.fixture(scope="module")
 def naive():
-    return sweep_point(
-        SCENARIO_1, "naive", TASKS, duration=DURATION, warmup=WARMUP
-    )
+    return headline_point("naive")
 
 
 @pytest.fixture(scope="module")
 def sgprs_1():
-    return sweep_point(
-        SCENARIO_1, "sgprs_1", TASKS, duration=DURATION, warmup=WARMUP
-    )
+    return headline_point("sgprs_1")
 
 
 class TestGoldenHeadline:
