@@ -5,6 +5,7 @@ This is the layer the examples, benchmarks and sweep harness build on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Type, Union
 
@@ -83,8 +84,10 @@ class RunConfig:
     admission: Union[str, AdmissionPolicy] = ""
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(
+                f"duration must be finite and positive, got {self.duration}"
+            )
         if not 0 <= self.warmup < self.duration:
             raise ValueError(
                 f"warmup must be in [0, duration), got {self.warmup}"

@@ -83,7 +83,8 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 #: Suffix of :class:`LocalFSBackend`'s per-key lock files.  They sit
-#: beside their keys, are never deleted and are not keys themselves.
+#: beside their keys, live no longer than their keys and are not keys
+#: themselves.
 _LOCK_SUFFIX = ".lock"
 
 
@@ -155,7 +156,10 @@ class LocalFSBackend(StorageBackend):
     :func:`os.replace` or unlink the record.  So no two of them
     interleave on one key, and the record never goes absent while it is
     compared: :meth:`put_exclusive`, which takes no lock, cannot land
-    in between.  :meth:`list_prefix` skips lock files.
+    in between.  A lock holder that finds the key absent at the end of
+    its block (:meth:`delete_if_owner` just deleted it) unlinks the lock
+    file before releasing it, so a claim run leaves no lock files
+    behind.  :meth:`list_prefix` skips lock files.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -231,15 +235,34 @@ class LocalFSBackend(StorageBackend):
         Yields whether the lock is held: it is not when the key's
         directory, and so the key, does not exist.  flock locks belong
         to the open file, so threads of one process exclude each other.
+
+        When the block leaves the key absent, the lock file is unlinked
+        while still locked.  A locker that waited on that file then holds
+        a lock no later locker will take, so after every ``flock`` the
+        lock path must still name the locked inode; if it does not, the
+        file is closed and the lock taken again.
         """
+        lock_path = f"{path}{_LOCK_SUFFIX}"
+        while True:
+            try:
+                fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+            except FileNotFoundError:
+                yield False
+                return
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                if os.fstat(fd).st_ino == os.stat(lock_path).st_ino:
+                    break
+            except FileNotFoundError:
+                pass  # unlinked after our flock returned: take it again
+            except BaseException:
+                os.close(fd)
+                raise
+            os.close(fd)
         try:
-            fd = os.open(f"{path}{_LOCK_SUFFIX}", os.O_RDWR | os.O_CREAT, 0o644)
-        except FileNotFoundError:
-            yield False
-            return
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
             yield True
+            if not path.exists():
+                os.unlink(lock_path)
         finally:
             os.close(fd)  # closing the file releases the lock
 

@@ -19,6 +19,14 @@ and progress rate.  The model (DESIGN.md section 4):
 Rates are in *single-SM work-seconds per wall second*, i.e. the composite
 speedup of the stage at its effective share, degraded by the efficiency
 terms.
+
+A pass redoes only what moved since the last one, computing every float
+in the same order as a pass from scratch: a context is water-filled again
+only when its residents changed (the fill is kept on the context with the
+``residency_rev`` it was computed at), a kernel's curve is queried again
+only when its share moved, and the shares and rates are published onto
+the kernels, with the kernels whose rate moved listed in resident order
+(``AllocationResult.changed``) so that the device re-anchors only those.
 """
 
 from __future__ import annotations
@@ -62,12 +70,12 @@ class AllocationParams:
 class AllocationResult:
     """Outcome of one allocation pass.
 
+    Each kernel's share and rate are published onto the kernel itself
+    (``share``, ``rate``, ``rate_rev``); the result carries the pass-wide
+    figures and which kernels moved.
+
     Attributes
     ----------
-    shares:
-        Kernel id -> effective SM share (after device scaling).
-    rates:
-        Kernel id -> progress rate (single-SM seconds per second).
     pressure:
         Summed intra-context grants divided by physical SMs (>1 means the
         device was over-subscribed at this instant).
@@ -75,13 +83,19 @@ class AllocationResult:
         Uniform scale applied to shares (1.0 when pressure <= 1).
     aggregate_rate:
         Summed progress rate after the ceiling was applied.
+    resident:
+        Number of resident kernels the pass allocated.
+    changed:
+        The kernels whose ``rate_rev`` the pass bumped (their rate moved,
+        or this was their first pass), in resident order: context order,
+        then stream-index order.
     """
 
-    shares: Dict[int, float] = field(default_factory=dict)
-    rates: Dict[int, float] = field(default_factory=dict)
     pressure: float = 0.0
     device_scale: float = 1.0
     aggregate_rate: float = 0.0
+    resident: int = 0
+    changed: List[StageKernel] = field(default_factory=list)
 
 
 def intra_context_shares(
@@ -145,49 +159,60 @@ def compute_allocation(
 ) -> AllocationResult:
     """Allocate SM shares and progress rates for all resident kernels.
 
-    A kernel's curve is queried only when its effective share differs
-    from the one it was last queried at (the pair is kept on the kernel
-    as ``curve_share``/``curve_speedup``): a curve is a pure function of
-    the share, so this memo is bit-transparent.  Composite curves
-    memoise their own speedups, so what it skips is a memo lookup, not a
-    curve evaluation; most settles move few shares, and on an overloaded
-    8-context x 30-task point it still saves about 2.6% of the wall time.
+    Publishes ``share`` and ``rate`` onto every resident kernel and bumps
+    ``rate_rev`` on each whose rate moved (or that is allocated for the
+    first time); those kernels come back as ``AllocationResult.changed``.
+
+    Two memos keep a pass from redoing work whose inputs did not move;
+    both are bit-transparent:
+
+    * A context's water-fill depends only on its residents, so it is
+      recomputed only when the context's ``residency_rev`` moved since
+      its last fill (``SimContext.fill_rev``).  Most change points attach
+      or detach kernels in one context; the others reuse their fill.
+    * A kernel's curve is queried only when its effective share differs
+      from the one it was last queried at (``curve_share``/
+      ``curve_speedup``): a curve is a pure function of the share.
     """
     result = AllocationResult()
-    per_context: List[Tuple[SimContext, Dict[int, float]]] = []
+    occupied: List[Tuple[SimContext, List[StageKernel]]] = []
     granted_total = 0.0
     for context in contexts:
         kernels = context.resident_kernels()
         if not kernels:
             continue
-        shares = intra_context_shares(kernels, context.nominal_sms)
-        per_context.append((context, shares))
-        granted_total += sum(shares.values())
+        if context.fill_rev != context.residency_rev:
+            shares = intra_context_shares(kernels, context.nominal_sms)
+            context.fill_shares = [shares[kernel.kernel_id] for kernel in kernels]
+            context.fill_granted = sum(shares.values())
+            context.fill_rev = context.residency_rev
+        occupied.append((context, kernels))
+        granted_total += context.fill_granted
 
     if granted_total <= 0.0:
         return result
 
     result.pressure = granted_total / total_sms
-    result.device_scale = min(1.0, total_sms / granted_total)
+    result.device_scale = device_scale = min(1.0, total_sms / granted_total)
     contention = 1.0
     if result.pressure > 1.0:
         contention = 1.0 / (1.0 + params.alpha * (result.pressure - 1.0))
 
     aggregate = 0.0
-    kernel_index: Dict[int, StageKernel] = {}
-    for context, shares in per_context:
-        kernels = context.resident_kernels()
+    resident: List[StageKernel] = []
+    rates: List[float] = []
+    for context, kernels in occupied:
         colocation = 1.0 / (1.0 + params.beta * (len(kernels) - 1))
-        for kernel in kernels:
-            share = shares.get(kernel.kernel_id, 0.0) * result.device_scale
+        for kernel, fill in zip(kernels, context.fill_shares):
+            share = fill * device_scale
             if share != kernel.curve_share:
                 kernel.curve_share = share
                 kernel.curve_speedup = kernel.curve.speedup(share)
+            kernel.share = share
             rate = kernel.curve_speedup * colocation
-            result.shares[kernel.kernel_id] = share
-            result.rates[kernel.kernel_id] = rate
-            kernel_index[kernel.kernel_id] = kernel
+            rates.append(rate)
             aggregate += rate
+        resident.extend(kernels)
 
     # The DRAM/L2 ceiling binds first; the over-subscription contention
     # penalty then degrades whatever the ceiling allows.  Ordering matters:
@@ -198,20 +223,20 @@ def compute_allocation(
     ceiling_scale = min(1.0, aggregate_cap / aggregate) if aggregate > 0 else 1.0
     overall = ceiling_scale * contention
     if overall < 1.0:
-        for kernel_id in result.rates:
-            result.rates[kernel_id] *= overall
+        rates = [rate * overall for rate in rates]
         aggregate *= overall
     result.aggregate_rate = aggregate
+    result.resident = len(resident)
 
-    # Publish onto the kernels for the device's progress accounting.  The
-    # rate revision moves only when the published rate differs from the
-    # kernel's current one: unchanged inputs reproduce bit-identical floats,
-    # so an equality check is exact, and the device uses the revision to
-    # keep completion anchors whose time is still exact.
-    for kernel_id, kernel in kernel_index.items():
-        kernel.share = result.shares[kernel_id]
-        rate = result.rates[kernel_id]
-        if rate != kernel.rate:
+    # The rate revision moves only when the published rate differs from
+    # the kernel's current one (or on a kernel's first pass, which has no
+    # completion anchor yet): unchanged inputs reproduce bit-identical
+    # floats, so an equality check is exact, and the device re-anchors
+    # exactly the kernels listed in ``changed``.
+    changed = result.changed
+    for kernel, rate in zip(resident, rates):
+        if rate != kernel.rate or not kernel.rate_rev:
             kernel.rate = rate
             kernel.rate_rev += 1
+            changed.append(kernel)
     return result

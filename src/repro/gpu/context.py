@@ -27,6 +27,9 @@ answers are maintained as the queues and streams change:
   concatenated index-ordered list), invalidated by ``residency_rev`` —
   the same revision the device uses to skip allocation passes — and
   rebuilt at most once per residency change, not once per call;
+* the allocator's last **water-fill** of the partition (``fill_rev``,
+  ``fill_shares``, ``fill_granted``), keyed on the same revision, so an
+  allocation pass re-fills only the contexts whose residents moved;
 * a **batched** ``dispatch_ready`` that fills every free slot of a level
   in one pass, highest level first.  Dispatching only ever *consumes*
   streams, so a level found blocked stays blocked for the rest of the
@@ -116,10 +119,20 @@ class SimContext:
         #: Monotonic counter bumped on every stream attach/detach; the device
         #: compares snapshots of it to detect that the resident set (and
         #: therefore the whole allocation) is unchanged since the last
-        #: settle, and the free-stream occupancy cache below is keyed on it.
+        #: settle, and the resident-list, water-fill and free-stream caches
+        #: below are keyed on it.
         self.residency_rev = 0
         self._resident_cache: List[StageKernel] = []
         self._resident_cache_rev = -1
+        #: The allocator's last water-fill of this partition: each
+        #: resident's share of ``nominal_sms`` (in resident order), their
+        #: sum, and the ``residency_rev`` it was computed at.  The split
+        #: depends only on the residents' weights and width demands and on
+        #: ``nominal_sms``, none of which change while a kernel is
+        #: resident, so an equal revision proves the fill still holds.
+        self.fill_rev = -1
+        self.fill_shares: List[float] = []
+        self.fill_granted = 0.0
         # Cached free-stream occupancy (rebuilt when residency_rev moved).
         self._free_cache_rev = -1
         self._free_by_class: Dict[StreamClass, List[CudaStream]] = {

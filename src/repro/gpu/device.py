@@ -7,16 +7,18 @@ finishes.  Rates are piecewise-constant between *change points* (submit,
 completion, abort); at every change point the device
 
 1. advances each resident kernel by the elapsed time at its previous rate,
+   walking each context's cached resident list,
 2. recomputes the allocation — unless the resident set is untouched since
    the last settle (a submit that only queued, an abort that only
    tombstoned), in which case shares, rates and every completion anchor
    are still exact and the whole pass is skipped,
-3. re-anchors the completion **only of kernels whose rate actually
-   changed** (tracked by a per-kernel rate revision the allocator bumps).
-   A kernel's completion anchor ``(rate_rev, when, stamp)`` is fixed at the
-   instant its rate last changed — ``when = anchor_now +
-   time_to_completion``, exact for as long as the rate stays constant —
-   and ``stamp`` is an engine order stamp reserved at that instant.
+3. re-anchors the completion **only of the kernels the allocator reports
+   as changed** (``AllocationResult.changed``: their rate moved, or they
+   were just dispatched), in resident order.  A kernel's completion anchor
+   ``(when, stamp)`` is fixed at the instant its rate last changed —
+   ``when = anchor_now + time_to_completion``, exact for as long as the
+   rate stays constant — and ``stamp`` is an engine order stamp reserved
+   at that instant.  A stalled (zero-rate) kernel has no anchor.
 
 The device holds **one** engine event, at the smallest ``(when, stamp)``
 anchor, and moves it only when that minimum changes.  A settle that
@@ -36,7 +38,7 @@ same change point.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.gpu.allocator import (
     AllocationParams,
@@ -46,7 +48,7 @@ from repro.gpu.allocator import (
 from repro.gpu.context import SimContext
 from repro.gpu.kernel import StageKernel
 from repro.gpu.spec import GpuDeviceSpec
-from repro.sim.clock import TIME_EPS, validate_time
+from repro.sim.clock import TIME_EPS
 from repro.sim.engine import Event, SimulationEngine
 from repro.sim.trace import TraceRecorder
 from repro.sim.trace_kinds import ALLOCATION, KERNEL_DONE, KERNEL_START
@@ -96,11 +98,12 @@ class GpuDevice:
         self.params = params
         self.trace = trace
         self.on_kernel_complete: Optional[CompletionCallback] = None
-        #: kernel_id -> completion anchor ``(rate_rev, when, stamp)``: the
-        #: rate revision it was computed at, the absolute completion time
-        #: (inf while stalled) and the engine order stamp reserved for it
-        #: (-1 while stalled).  One entry per resident kernel.
-        self._armed: Dict[int, Tuple[int, float, int]] = {}
+        #: kernel_id -> completion anchor ``(when, stamp, kernel)``: the
+        #: absolute completion time and the engine order stamp reserved for
+        #: it.  One entry per resident kernel with a nonzero rate (a stalled
+        #: kernel has none); stamps are unique, so the minimum anchor never
+        #: compares kernels.
+        self._armed: Dict[int, Tuple[float, int, StageKernel]] = {}
         #: The device's one engine event, pending at the smallest
         #: ``(when, stamp)`` anchor, and the kernel that anchor belongs to.
         self._event: Optional[Event] = None
@@ -175,14 +178,6 @@ class GpuDevice:
         # Detached first: re-pointing the device event must not re-anchor it.
         self._disarm(kernel)
 
-    def resident_kernels(self) -> List[StageKernel]:
-        """All kernels currently on streams, across contexts, in context
-        order: a new list built from each context's cached one."""
-        kernels: List[StageKernel] = []
-        for context in self.contexts:
-            kernels.extend(context.resident_kernels())
-        return kernels
-
     @property
     def last_allocation(self) -> AllocationResult:
         """Result of the most recent allocation pass."""
@@ -234,13 +229,16 @@ class GpuDevice:
         if elapsed <= 0:
             return
         aggregate = 0.0
-        for kernel in self.resident_kernels():
-            # advance() reports the work actually consumed: setup seconds
-            # burn at rate 1 without producing work, so integrating
-            # rate * elapsed would overcount any kernel mid-setup (the
-            # naive scheduler's reconfiguration path).
-            self.total_work_done += kernel.advance(elapsed)
-            aggregate += kernel.rate
+        work_done = self.total_work_done
+        for context in self.contexts:
+            for kernel in context.resident_kernels():
+                # advance() reports the work actually consumed: setup
+                # seconds burn at rate 1 without producing work, so
+                # integrating rate * elapsed would overcount any kernel
+                # mid-setup (the naive scheduler's reconfiguration path).
+                work_done += kernel.advance(elapsed)
+                aggregate += kernel.rate
+        self.total_work_done = work_done
         if aggregate > 0:
             self.busy_time += elapsed
         self.pressure_time_integral += self._last_allocation.pressure * elapsed
@@ -266,61 +264,49 @@ class GpuDevice:
         self._last_allocation = result
         self._alloc_residency_rev = residency_rev
         self._record_allocation(result)
-        self._rearm()
+        self._rearm(result.changed)
 
-    def _rearm(self) -> None:
-        """Anchor every resident kernel that has no anchor at its current
-        rate revision, and keep the device event at the smallest
-        ``(when, stamp)`` anchor.
+    def _rearm(self, kernels: Sequence[StageKernel]) -> None:
+        """Anchor ``kernels`` at their current rates, in order, and keep
+        the device event at the smallest ``(when, stamp)`` anchor.
 
         Every write to the anchor table ends here before control returns
-        to the engine.  Stamps are reserved in resident order.  The event
-        moves (one cancel, one push) only when the minimum changed, and a
-        stalled anchor never owns it.
+        to the engine.  Each finite anchor reserves an engine order stamp,
+        exactly where a push of its own would take a sequence number, so
+        stamps follow the order of ``kernels`` (resident order).  A
+        stalled kernel takes no stamp and drops its anchor: it is anchored
+        again when its rate moves.  The event moves (one cancel, one push)
+        only when the minimum changed.
         """
         engine = self.engine
         now = engine.now
         armed = self._armed
-        owner = None
-        best_when = _INF
-        best_stamp = -1
-        for kernel in self.resident_kernels():
-            anchor = armed.get(kernel.kernel_id)
-            if anchor is None or anchor[0] != kernel.rate_rev:
-                anchor = self._arm(kernel, now + kernel.time_to_completion())
-            when = anchor[1]
-            if when < best_when or (when == best_when and anchor[2] < best_stamp):
-                owner, best_when, best_stamp = kernel, when, anchor[2]
+        self.arms += len(kernels)
+        for kernel in kernels:
+            when = now + kernel.time_to_completion()
+            if when == _INF:
+                armed.pop(kernel.kernel_id, None)
+                continue
+            if when != when:
+                raise ValueError("when must not be NaN")
+            if when < now:
+                when = now
+            armed[kernel.kernel_id] = (when, engine.reserve_seq(), kernel)
         event = self._event
+        if not armed:
+            if event is not None:
+                engine.cancel(event)
+            self._event = self._event_kernel = None
+            return
+        when, stamp, owner = min(armed.values())
         if event is not None:
-            if event.seq == best_stamp:
+            if event.seq == stamp:
                 return
             engine.cancel(event)
         self._event_kernel = owner
-        self._event = None
-        if owner is not None:
-            self._event = engine.schedule_at_seq(
-                best_when, best_stamp, self._on_completion, f"complete:{owner.label}"
-            )
-
-    def _arm(self, kernel: StageKernel, when: float) -> Tuple[int, float, int]:
-        """Anchor ``kernel``'s completion at absolute time ``when``.
-
-        A finite time reserves an engine order stamp, exactly where a push
-        of its own would take a sequence number, and is validated here:
-        any anchor may own the device event later.
-        """
-        self.arms += 1
-        if when == _INF:
-            # Stalled (zero rate): no stamp, but remember the revision so
-            # the kernel is only revisited when its rate moves.
-            anchor = (kernel.rate_rev, _INF, -1)
-        else:
-            engine = self.engine
-            when = validate_time(max(when, engine.now), "when")
-            anchor = (kernel.rate_rev, when, engine.reserve_seq())
-        self._armed[kernel.kernel_id] = anchor
-        return anchor
+        self._event = engine.schedule_at_seq(
+            when, stamp, self._on_completion, f"complete:{owner.label}"
+        )
 
     def _disarm(self, kernel: StageKernel) -> None:
         """Drop a detached kernel's anchor; move the event if it owned it."""
@@ -328,7 +314,7 @@ class GpuDevice:
             self._armed.pop(kernel.kernel_id, None) is not None
             and kernel is self._event_kernel
         ):
-            self._rearm()
+            self._rearm(())
 
     def _record_allocation(self, result: AllocationResult) -> None:
         if self.trace is not None:
@@ -337,7 +323,7 @@ class GpuDevice:
                 ALLOCATION,
                 pressure=round(result.pressure, 4),
                 aggregate_rate=round(result.aggregate_rate, 3),
-                resident=len(result.rates),
+                resident=result.resident,
             )
 
     def _on_completion(self) -> None:
@@ -358,7 +344,7 @@ class GpuDevice:
                 # Accumulated per-step rounding left real residual work (the
                 # anchored completion time undershot): re-anchor this kernel
                 # at its remaining time; rates are unchanged.
-                self._rearm()
+                self._rearm((kernel,))
                 return
         context = self.context(kernel.context_id)
         context.remove(kernel)

@@ -109,17 +109,19 @@ class StageKernel:
         self.share: float = 0.0
         #: Progress rate (single-SM seconds per wall second).
         self.rate: float = 0.0
-        #: Revision counter bumped whenever the published ``rate`` actually
-        #: changes.  The device re-anchors a kernel's completion only when
-        #: this revision moved: at a constant rate the completion time
-        #: fixed when the rate was last set stays exact.
+        #: Revision counter the allocator bumps on the kernel's first
+        #: allocation pass and whenever the published ``rate`` actually
+        #: changes; it lists those kernels in ``AllocationResult.changed``.
+        #: The device re-anchors a kernel's completion only then: at a
+        #: constant rate the completion time fixed when the rate was last
+        #: set stays exact.
         self.rate_rev: int = 0
         #: The share ``curve.speedup`` was last queried at (NaN: never)
         #: and its value.  The allocator queries again only when the share
         #: moved; a curve is a pure function of the share, so this is exact.
         #: Composite curves memoise their speedups themselves, so this
         #: skips a memo lookup per resident kernel and pass, not a curve
-        #: evaluation (what that still saves: ``compute_allocation``).
+        #: evaluation.
         self.curve_share: float = float("nan")
         self.curve_speedup: float = 0.0
         self.context_id: Optional[int] = None

@@ -20,6 +20,7 @@ exhaustion; no sentinel needed).
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
@@ -39,13 +40,16 @@ def write_arrival_log(
     """Write arrivals as JSON lines; returns the number written.
 
     Events must already be in non-decreasing time order (the order a
-    recorded run produces naturally); out-of-order input is rejected so
-    a corrupt log is caught at write time, not replay time.
+    recorded run produces naturally); out-of-order input and non-finite
+    times are rejected so a corrupt log is caught at write time, not
+    replay time.
     """
     last = float("-inf")
     count = 0
     with open(path, "w") as handle:
         for time, task in events:
+            if not math.isfinite(time):
+                raise ValueError(f"non-finite arrival time {time}")
             if time < last:
                 raise ValueError(
                     f"arrival log not sorted: {time} after {last}"
@@ -59,9 +63,12 @@ def write_arrival_log(
 def read_arrival_log(path: Union[str, Path]) -> List[ArrivalEvent]:
     """Read a JSON-lines arrival log back into ``(time, task)`` pairs.
 
-    Raises ``ValueError`` on malformed lines, missing fields, negative
-    times or out-of-order records — replaying a silently-truncated or
-    shuffled log would produce confusing scheduler behaviour.
+    Raises ``ValueError`` on malformed lines, missing fields, non-finite
+    or negative times or out-of-order records — replaying a
+    silently-truncated or shuffled log would produce confusing scheduler
+    behaviour.  ``json`` parses the ``NaN`` and ``Infinity`` literals,
+    and a NaN time passes every ordering comparison, so finiteness is
+    checked first.
     """
     events: List[ArrivalEvent] = []
     last = float("-inf")
@@ -78,6 +85,10 @@ def read_arrival_log(path: Union[str, Path]) -> List[ArrivalEvent]:
                 raise ValueError(
                     f"{path}:{lineno}: malformed arrival record ({error})"
                 ) from None
+            if not math.isfinite(time):
+                raise ValueError(
+                    f"{path}:{lineno}: non-finite arrival time {time}"
+                )
             if time < 0.0:
                 raise ValueError(
                     f"{path}:{lineno}: negative arrival time {time}"

@@ -24,6 +24,11 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(pool=pool, duration=0.0)
 
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan")])
+    def test_non_finite_duration_rejected(self, pool, duration):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            RunConfig(pool=pool, duration=duration, warmup=0.0)
+
     def test_warmup_must_precede_duration(self, pool):
         with pytest.raises(ValueError):
             RunConfig(pool=pool, duration=1.0, warmup=1.0)

@@ -233,6 +233,68 @@ class TestBackendContract:
         assert backend.list_prefix("a/") == ["a/two"]
 
 
+class TestLocalFSLockFiles:
+    """A lock file lives no longer than its key, and unlinking one never
+    lets two lockers in at once."""
+
+    def test_claim_run_leaves_no_lock_files(self, tmp_path):
+        backend = LocalFSBackend(tmp_path / "store")
+        init_run(backend, SPEC)
+        report = run_dist_worker(backend, owner="w", point_fn=fake_point)
+        assert report.cache_misses == NUM_POINTS
+        assert list((tmp_path / "store").rglob("*.lock")) == []
+        assert backend.list_prefix("claims/") == []
+
+    def test_failed_lease_of_an_absent_key_leaves_no_lock_file(self, tmp_path):
+        backend = LocalFSBackend(tmp_path / "store")
+        backend.atomic_replace("claims/k", b"x")
+        token = backend.read("claims/k").token
+        assert backend.delete("claims/k")
+        assert not backend.lease("claims/k", b"y", token)
+        assert list((tmp_path / "store").rglob("*.lock")) == []
+
+    def test_lock_stays_exclusive_while_lock_files_come_and_go(self, tmp_path):
+        """Half the holders delete the key, so their exit unlinks the lock
+        file that the other threads are queued on; each of those must
+        notice and lock the new file instead of entering."""
+        backend = LocalFSBackend(tmp_path / "store")
+        backend.atomic_replace("k", b"x")
+        path = backend._path("k")
+        inside = []
+        overlaps = []
+        barrier = threading.Barrier(6, timeout=30.0)
+
+        def locker(index):
+            barrier.wait()
+            for step in range(150):
+                with backend._key_lock(path) as held:
+                    assert held
+                    inside.append(index)
+                    if len(inside) != 1:
+                        overlaps.append(list(inside))
+                    if (step + index) % 2:
+                        backend.delete("k")
+                    else:
+                        backend.atomic_replace("k", b"x")
+                    time.sleep(0)
+                    inside.remove(index)
+
+        threads = [
+            threading.Thread(target=locker, args=(i,)) for i in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive(), "locker thread hung"
+        finally:
+            sys.setswitchinterval(interval)
+        assert overlaps == []
+
+
 class TestFaultWrapper:
     def test_fail_raises_before_applying(self, backend):
         faulty = FaultInjectingBackend(backend)

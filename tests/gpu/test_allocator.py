@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.gpu import allocator as allocator_mod
 from repro.gpu.allocator import (
     AllocationParams,
     compute_allocation,
@@ -134,17 +135,18 @@ class TestComputeAllocation:
         context = SimContext(0, 34.0)
         result = compute_allocation([context], 68.0, 53.5)
         assert result.pressure == 0.0
-        assert result.rates == {}
+        assert result.aggregate_rate == 0.0
+        assert result.resident == 0
+        assert result.changed == []
 
     def test_single_kernel_rate_matches_curve(self):
         kernel = make_kernel()
         context = resident_context(0, 34.0, [kernel])
         result = compute_allocation([context], 68.0, 1e9,
                                     AllocationParams(alpha=0.0, beta=0.0))
-        assert result.rates[kernel.kernel_id] == pytest.approx(
-            SaturatingCurve(0.05).speedup(34.0)
-        )
-        assert kernel.rate == result.rates[kernel.kernel_id]
+        assert kernel.rate == pytest.approx(SaturatingCurve(0.05).speedup(34.0))
+        assert result.aggregate_rate == kernel.rate
+        assert result.changed == [kernel]
 
     def test_undersubscribed_no_scaling(self):
         kernel = make_kernel()
@@ -154,15 +156,17 @@ class TestComputeAllocation:
         assert result.pressure == pytest.approx(0.5)
 
     def test_oversubscribed_scales_down(self):
+        kernels = [make_kernel(f"k{i}", width=68.0) for i in range(2)]
         contexts = [
-            resident_context(i, 68.0, [make_kernel(f"k{i}", width=68.0)])
-            for i in range(2)
+            resident_context(i, 68.0, [kernel])
+            for i, kernel in enumerate(kernels)
         ]
         result = compute_allocation(contexts, 68.0, 1e9)
         assert result.pressure == pytest.approx(2.0)
         assert result.device_scale == pytest.approx(0.5)
-        for share in result.shares.values():
-            assert share == pytest.approx(34.0)
+        assert result.resident == 2
+        for kernel in kernels:
+            assert kernel.share == pytest.approx(34.0)
 
     def test_contention_penalty_reduces_rates(self):
         def run(alpha):
@@ -205,10 +209,10 @@ class TestComputeAllocation:
         # fresh context because allocation mutates kernel state
         kernels2 = [make_kernel(f"j{i}") for i in range(2)]
         context2 = resident_context(1, 68.0, kernels2)
-        bounded = compute_allocation(
+        compute_allocation(
             [context2], 68.0, bounded_cap, AllocationParams(alpha=0.0, beta=0.0)
         )
-        rates = list(bounded.rates.values())
+        rates = [kernel.rate for kernel in kernels2]
         assert rates[0] == pytest.approx(rates[1])
         assert sum(rates) == pytest.approx(bounded_cap)
 
@@ -217,11 +221,131 @@ class TestComputeAllocation:
         idle capacity — the core MPS semantics over-subscription exploits."""
         kernel = make_kernel(width=68.0)
         context = resident_context(0, 34.0, [kernel])
-        result = compute_allocation([context], 68.0, 1e9)
-        assert result.shares[kernel.kernel_id] == pytest.approx(34.0)
+        compute_allocation([context], 68.0, 1e9)
+        assert kernel.share == pytest.approx(34.0)
+
+    def test_rate_rev_moves_only_with_the_rate(self):
+        kernel = make_kernel()
+        context = resident_context(0, 34.0, [kernel])
+        compute_allocation([context], 68.0, 1e9)
+        assert kernel.rate_rev == 1
+        assert compute_allocation([context], 68.0, 1e9).changed == []
+        assert kernel.rate_rev == 1
+        # a tighter ceiling moves the rate, and with it the revision
+        assert compute_allocation([context], 68.0, 1.0).changed == [kernel]
+        assert kernel.rate_rev == 2
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
             AllocationParams(alpha=-1.0)
         with pytest.raises(ValueError):
             AllocationParams(width_fraction=0.0)
+
+
+class TestSettleOnlyWhatMoved:
+    """A pass water-fills only contexts whose residents moved, and reports
+    exactly the kernels whose rate moved."""
+
+    @pytest.fixture
+    def fills(self, monkeypatch):
+        filled = []
+        waterfill = allocator_mod.intra_context_shares
+
+        def counted(kernels, nominal_sms):
+            filled.append([kernel.label for kernel in kernels])
+            return waterfill(kernels, nominal_sms)
+
+        monkeypatch.setattr(allocator_mod, "intra_context_shares", counted)
+        return filled
+
+    def test_unchanged_contexts_are_not_refilled(self, fills):
+        contexts = [
+            resident_context(i, 34.0, [make_kernel(f"c{i}k{j}") for j in range(2)])
+            for i in range(2)
+        ]
+        first = compute_allocation(contexts, 68.0, 1e9)
+        assert len(fills) == 2
+        assert len(first.changed) == 4
+        second = compute_allocation(contexts, 68.0, 1e9)
+        assert len(fills) == 2
+        assert second.changed == []
+        assert second.resident == 4
+        assert second.aggregate_rate == first.aggregate_rate
+
+    def test_attach_refills_only_its_context(self, fills):
+        contexts = [
+            resident_context(i, 34.0, [make_kernel(f"c{i}k0")]) for i in range(2)
+        ]
+        compute_allocation(contexts, 68.0, 1e9)
+        fills.clear()
+        contexts[1].enqueue(make_kernel("c1k1"))
+        contexts[1].dispatch_ready()
+        compute_allocation(contexts, 68.0, 1e9)
+        assert fills == [["c1k0", "c1k1"]]
+
+    def test_refill_matches_a_fresh_allocation(self):
+        # The memoised fill of an unchanged context must give the floats a
+        # from-scratch pass over identical kernels gives.
+        def build(tag):
+            kernels = [
+                make_kernel(f"{tag}{i}", priority=priority, width=width)
+                for i, (priority, width) in enumerate(
+                    [
+                        (PriorityLevel.HIGH, 8.0),
+                        (PriorityLevel.LOW, 64.0),
+                        (PriorityLevel.MEDIUM, 20.0),
+                    ]
+                )
+            ]
+            contexts = [
+                resident_context(0, 34.0, kernels[:2]),
+                resident_context(1, 40.0, kernels[2:]),
+            ]
+            return kernels, contexts
+
+        kernels, contexts = build("a")
+        compute_allocation(contexts, 68.0, 30.0)
+        extra = make_kernel("a-extra", priority=PriorityLevel.HIGH, width=30.0)
+        contexts[1].enqueue(extra)
+        contexts[1].dispatch_ready()
+        memoised = compute_allocation(contexts, 68.0, 30.0)
+
+        fresh_kernels, fresh_contexts = build("b")
+        fresh_extra = make_kernel("b-extra", priority=PriorityLevel.HIGH, width=30.0)
+        fresh_contexts[1].enqueue(fresh_extra)
+        fresh_contexts[1].dispatch_ready()
+        fresh = compute_allocation(fresh_contexts, 68.0, 30.0)
+
+        assert memoised.pressure == fresh.pressure
+        assert memoised.aggregate_rate == fresh.aggregate_rate
+        for kernel, twin in zip(kernels + [extra], fresh_kernels + [fresh_extra]):
+            assert (kernel.share, kernel.rate) == (twin.share, twin.rate)
+
+    def test_changed_is_in_resident_order(self):
+        contexts = [
+            resident_context(
+                i,
+                34.0,
+                [
+                    make_kernel(f"c{i}k{j}", priority=priority)
+                    for j, priority in enumerate(
+                        [PriorityLevel.LOW, PriorityLevel.HIGH, PriorityLevel.MEDIUM]
+                    )
+                ],
+            )
+            for i in range(3)
+        ]
+        resident = [k for c in contexts for k in c.resident_kernels()]
+        assert [k.label for k in resident[:3]] == ["c0k1", "c0k2", "c0k0"]
+        assert compute_allocation(contexts, 68.0, 1e9).changed == resident
+        # Detaching one kernel in each outer context moves only their
+        # context-mates' rates (each context still grants all its SMs, so
+        # the device pressure holds); the middle context is untouched.
+        contexts[0].remove(resident[0])
+        contexts[2].remove(resident[8])
+        moved = contexts[0].resident_kernels() + contexts[2].resident_kernels()
+        assert len(moved) == 4
+        assert compute_allocation(contexts, 68.0, 1e9).changed == moved
+        # A binding ceiling rescales every survivor, in resident order.
+        survivors = [k for c in contexts for k in c.resident_kernels()]
+        assert compute_allocation(contexts, 68.0, 5.0).changed == survivors

@@ -185,18 +185,22 @@ def test_intra_context_shares_conserve_budget(spec, nominal):
 @settings(max_examples=100)
 def test_device_allocation_bounded_by_physical_sms(context_specs, nominal):
     contexts = []
+    kernels = []
     for index, spec in enumerate(context_specs):
         context = SimContext(index, nominal)
         for kernel in _kernels(spec):
             context.enqueue(kernel)
+            kernels.append(kernel)
         context.dispatch_ready()
         contexts.append(context)
     result = compute_allocation(
         contexts, 68.0, 53.5, AllocationParams()
     )
-    assert sum(result.shares.values()) <= 68.0 + 1e-6
+    # every kernel fits on a stream, so every one was allocated
+    assert result.resident == len(kernels)
+    assert sum(kernel.share for kernel in kernels) <= 68.0 + 1e-6
     assert result.aggregate_rate <= 53.5 + 1e-6
-    assert all(rate >= 0 for rate in result.rates.values())
+    assert all(kernel.rate >= 0 for kernel in kernels)
 
 
 # ---------------------------------------------------------------------------

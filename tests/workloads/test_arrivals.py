@@ -303,6 +303,10 @@ class TestReplay:
             write_arrival_log(
                 tmp_path / "bad.jsonl", [(1.0, "a"), (0.5, "a")]
             )
+        with pytest.raises(ValueError, match="non-finite"):
+            write_arrival_log(
+                tmp_path / "bad.jsonl", [(0.0, "a"), (float("nan"), "a")]
+            )
 
     def test_read_rejects_malformed_with_location(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -319,6 +323,19 @@ class TestReplay:
             '{"time": 1.0, "task": "a"}\n{"time": 0.5, "task": "a"}\n'
         )
         with pytest.raises(ValueError, match="not sorted"):
+            read_arrival_log(path)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", '"nan"'])
+    def test_read_rejects_non_finite_with_location(self, tmp_path, literal):
+        # A NaN passes both the negative-time and the ordering check, and
+        # so would every line after it.
+        path = tmp_path / "nan.jsonl"
+        path.write_text(
+            '{"time": 0.0, "task": "a"}\n'
+            f'{{"time": {literal}, "task": "a"}}\n'
+            '{"time": 0.01, "task": "a"}\n'
+        )
+        with pytest.raises(ValueError, match=r"nan\.jsonl:2: non-finite"):
             read_arrival_log(path)
 
     def test_record_matches_live_streams(self):
