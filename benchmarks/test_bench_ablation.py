@@ -1,4 +1,4 @@
-"""Ablation benchmarks A1-A4 (design choices DESIGN.md calls out).
+"""Ablation benchmarks A1-A4: four of the scheduler's design choices.
 
 A1  Zero-configuration partition switch — SGPRS' headline mechanism.
     Replace the pre-created pool with reconfigure-on-switch semantics and

@@ -1,8 +1,9 @@
 """SGPRS reproduction: Seamless GPU Partitioning Real-Time Scheduler.
 
 Full reproduction of Babaei & Chantem, DATE 2024 (arXiv:2406.09425) on a
-calibrated discrete-event GPU simulator.  See README.md for a tour and
-DESIGN.md for the architecture.
+calibrated discrete-event GPU simulator.  The command-line tour is the
+:mod:`repro.cli` docstring (``python -m repro --help``); ROADMAP.md at the
+repository root maps where each part lives.
 """
 
 from repro.core import (

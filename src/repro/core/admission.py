@@ -105,8 +105,7 @@ class SkipIfBusy(AdmissionPolicy):
 class AdmitAll(AdmissionPolicy):
     """Admit every release (non-blocking clients, unbounded backlog).
 
-    The ablation mode ``admit_all_releases`` expressed as a policy:
-    queues snowball freely under overload.
+    Queues snowball freely under overload.
     """
 
     name = "admit_all"
@@ -149,8 +148,12 @@ class BoundedQueue(AdmissionPolicy):
     name = "queue"
 
     def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError(f"queue depth must be >= 1, got {self.depth}")
+        # bool is an int subclass; a float depth (2.5, inf, nan) would
+        # silently admit by a different rule than the one asked for
+        if type(self.depth) is not int or self.depth < 1:
+            raise ValueError(
+                f"depth must be an int >= 1, got {self.depth!r}"
+            )
 
     def decide(self, job, previous, inflight: int) -> AdmissionDecision:
         if inflight < self.depth:

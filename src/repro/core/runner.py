@@ -161,8 +161,10 @@ def run_simulation(task_set: TaskSet, config: RunConfig) -> RunResult:
     """Execute one run and return its steady-state metrics."""
     task_set.validate()
     engine = SimulationEngine()
-    trace = make_trace_recorder(
-        config.trace_backend, enabled=config.record_trace
+    trace = (
+        make_trace_recorder(config.trace_backend)
+        if config.record_trace
+        else None
     )
     if issubclass(config.scheduler, NaiveScheduler):
         contexts = build_naive_contexts(config.pool, config.spec)
@@ -175,7 +177,7 @@ def run_simulation(task_set: TaskSet, config: RunConfig) -> RunResult:
         config.spec,
         contexts,
         config.allocation,
-        trace=trace if config.record_trace else None,
+        trace=trace,
     )
     metrics = MetricsCollector(warmup=config.warmup)
     arrivals = None
@@ -189,7 +191,7 @@ def run_simulation(task_set: TaskSet, config: RunConfig) -> RunResult:
         device,
         task_set,
         metrics,
-        trace=trace if config.record_trace else None,
+        trace=trace,
         horizon=config.duration,
         work_jitter_cv=config.work_jitter_cv,
         seed=config.seed,
@@ -205,6 +207,6 @@ def run_simulation(task_set: TaskSet, config: RunConfig) -> RunResult:
         utilization=device.utilization(now),
         mean_pressure=device.mean_pressure(now),
         metrics=metrics,
-        trace=trace if config.record_trace else None,
+        trace=trace,
         **metrics.summary(now),
     )

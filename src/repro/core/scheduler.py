@@ -157,11 +157,6 @@ class SchedulerBase:
     #: Subclasses give themselves a short name for reports.
     name = "base"
 
-    #: Ablation switch: when ``True`` every release is admitted even if the
-    #: task's previous job is still in flight (non-blocking clients with an
-    #: unbounded queue).
-    admit_all_releases = False
-
     #: Ablation switch: the paper's MEDIUM promotion of late stages
     #: (Section IV-B3).  Disabled in the ablation benchmark.
     enable_medium_promotion = True
@@ -221,11 +216,10 @@ class SchedulerBase:
         frame is dropped at the source).  A skipped job stays in the metrics
         as released-but-never-finished, i.e. a deadline miss.
 
-        Subclasses may override (``admit_all_releases = True`` disables the
-        skip for ablations, letting backlogs snowball).
+        Subclasses may override it; to admit every release and let
+        backlogs snowball, pass the ``admit_all`` policy
+        (:class:`~repro.core.admission.AdmitAll`) instead.
         """
-        if self.admit_all_releases:
-            return True
         return previous is None or previous.finished
 
     # ------------------------------------------------------------------

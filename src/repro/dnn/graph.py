@@ -81,10 +81,6 @@ class LayerGraph:
         except KeyError:
             raise GraphError(f"unknown node {name!r}") from None
 
-    def nodes(self) -> List[Operator]:
-        """All operators in insertion order."""
-        return list(self._nodes.values())
-
     def edges(self) -> List[Tuple[str, str]]:
         """All edges in deterministic order."""
         return [(src, dst) for src in self._nodes for dst in self._succ[src]]

@@ -60,14 +60,6 @@ class StagePlan:
         """Number of stages in the plan."""
         return len(self.stages)
 
-    def stage_names(self, index: int) -> List[str]:
-        """Operator names of one stage."""
-        return [op.name for op in self.stages[index]]
-
-    def stage_flops(self, index: int) -> float:
-        """Total FLOPs of one stage."""
-        return sum(op.flops for op in self.stages[index])
-
     def imbalance(self) -> float:
         """max(stage cost) / mean(stage cost); 1.0 is perfectly balanced."""
         if not self.costs or sum(self.costs) == 0.0:

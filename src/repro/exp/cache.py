@@ -15,7 +15,9 @@ The cache is rooted either in a plain directory (the historical layout:
 one ``<hash>.json`` file per point) or in any
 :class:`~repro.exp.backend.StorageBackend` under an optional key prefix
 — the distributed layer keeps its checkpoints at ``cache/<hash>.json``
-inside a run store.
+inside a run store.  Either way a record is reached one way only: its
+key (:meth:`ResultCache.key_for`) on ``cache.backend``; the cache offers
+no file paths, listing or bulk delete of its own.
 
 Corrupt or stale-schema entries are treated as misses and overwritten.
 """
@@ -41,12 +43,10 @@ class ResultCache:
         prefix: str = "",
     ) -> None:
         if isinstance(root, StorageBackend):
-            self.root: Optional[Path] = None
             self.backend = root
         else:
-            self.root = Path(root)
-            self.root.mkdir(parents=True, exist_ok=True)
-            self.backend = LocalFSBackend(self.root)
+            Path(root).mkdir(parents=True, exist_ok=True)
+            self.backend = LocalFSBackend(root)
         self.prefix = prefix.strip("/")
         self.hits = 0
         self.misses = 0
@@ -55,15 +55,6 @@ class ResultCache:
         """The backend key a point maps to."""
         name = f"{point.config_hash()}.json"
         return f"{self.prefix}/{name}" if self.prefix else name
-
-    def path_for(self, point: GridPoint) -> Path:
-        """The cache file a point maps to (directory-rooted caches only)."""
-        if self.root is None:
-            raise TypeError(
-                "path_for() needs a directory-rooted cache; this one lives "
-                f"on {self.backend!r} — use key_for()"
-            )
-        return self.root.joinpath(*self.key_for(point).split("/"))
 
     def contains(self, point: GridPoint) -> bool:
         """Whether a record exists for ``point`` (no parse, no hit/miss
@@ -93,22 +84,3 @@ class ResultCache:
         """Store a result atomically under its point's hash."""
         data = json.dumps(result.to_dict(), indent=1).encode()
         self.backend.atomic_replace(self.key_for(result.point), data)
-
-    def _keys(self):
-        prefix = f"{self.prefix}/" if self.prefix else ""
-        return [
-            key
-            for key in self.backend.list_prefix(prefix)
-            if key.endswith(".json")
-        ]
-
-    def __len__(self) -> int:
-        return len(self._keys())
-
-    def clear(self) -> int:
-        """Delete all cached entries; returns how many were removed."""
-        removed = 0
-        for key in self._keys():
-            if self.backend.delete(key):
-                removed += 1
-        return removed

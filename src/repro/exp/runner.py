@@ -88,10 +88,6 @@ class GridResult:
         """Per-cell mean +/- 95% CI over the grid's replication seeds."""
         return aggregate_results(self.results)
 
-    def by_point(self) -> Dict[GridPoint, PointResult]:
-        """Index the results by their grid point."""
-        return {result.point: result for result in self.results}
-
 
 def _effective_workers(workers: int, pending: int) -> int:
     """Shards actually worth spawning (never more than pending points)."""

@@ -1,10 +1,10 @@
 """Simulated GPU: SM partitioning, CUDA contexts, prioritized streams.
 
-This package is the substitute for the paper's RTX 2080 Ti testbed (see
-DESIGN.md section 2).  The model is *rate-based*: every resident kernel owns
-an SM share computed by :mod:`repro.gpu.allocator`, and progresses at the
-speedup its stage's composite curve assigns to that share.  Shares are
-recomputed whenever the resident set changes.
+This package is the substitute for the paper's RTX 2080 Ti testbed.  The
+model is *rate-based*: every resident kernel owns an SM share computed by
+:mod:`repro.gpu.allocator`, and progresses at the speedup its stage's
+composite curve assigns to that share.  Shares are recomputed whenever the
+resident set changes.
 
 Key semantics (all load-bearing for the paper's results):
 

@@ -1,7 +1,7 @@
 """SM allocation across contexts and resident kernels.
 
 Called whenever the resident set changes; produces each kernel's SM share
-and progress rate.  The model (DESIGN.md section 4):
+and progress rate.  The model:
 
 1. **Intra-context**: a context's nominal SMs are split among its resident
    kernels proportionally to priority weights, water-filling against each

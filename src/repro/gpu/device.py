@@ -178,11 +178,6 @@ class GpuDevice:
         # Detached first: re-pointing the device event must not re-anchor it.
         self._disarm(kernel)
 
-    @property
-    def last_allocation(self) -> AllocationResult:
-        """Result of the most recent allocation pass."""
-        return self._last_allocation
-
     # ------------------------------------------------------------------
     # Change-point handling
     # ------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 One :class:`StageKernel` represents one stage instance of one job — a
 back-to-back sequence of operator launches aggregated into a single
-rate-based work item (see DESIGN.md section 4).  Its progress rate at an SM
-share is given by the stage's composite speedup curve.
+rate-based work item (the allocation model is in
+:mod:`repro.gpu.allocator`).  Its progress rate at an SM share is given by
+the stage's composite speedup curve.
 
 A kernel optionally carries *setup time*: serial wall-clock latency paid
 before useful work starts.  SGPRS' pre-created context pool makes this zero;

@@ -8,7 +8,8 @@ Public classes
 SimulationEngine
     Binary-heap discrete event engine with stable FIFO tie-breaking.
 Event
-    Handle returned by :meth:`SimulationEngine.schedule`; can be cancelled.
+    Handle returned by :meth:`SimulationEngine.schedule`; cancel it with
+    :meth:`SimulationEngine.cancel`.
 TraceRecorder / ColumnarTrace
     Structured execution trace: the list-backed recorder and its
     array-backed columnar drop-in (``make_trace_recorder`` selects one).

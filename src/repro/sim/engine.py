@@ -19,9 +19,9 @@ reproducing scheduler behaviour faithfully at speed:
   event whenever its earliest completion changes.  Cancelled events are
   tombstoned and skipped when popped instead of being removed from the
   heap, which keeps :meth:`SimulationEngine.cancel` amortised O(1).
-  Cancellation goes through the engine whether it is invoked as
-  ``engine.cancel(event)`` or directly on the handle (``event.cancel()``),
-  so the pending-event accounting can never drift.
+  ``engine.cancel(event)`` is the only way to cancel (an event handle has
+  no ``cancel`` of its own), so the pending-event accounting can never
+  drift.
 * **Bounded tombstone debt** — whenever cancelled events outnumber live
   ones, the heap is rebuilt without the tombstones (an O(n) pass paid at
   most every n cancellations, so still amortised O(1) per cancel).  Without
@@ -52,7 +52,8 @@ class Event:
     """Handle for a scheduled event.
 
     Instances are created by :meth:`SimulationEngine.schedule`; user code
-    only ever cancels them or inspects their fields.
+    only ever passes them to :meth:`SimulationEngine.cancel` or inspects
+    their fields.
 
     Attributes
     ----------
@@ -76,23 +77,6 @@ class Event:
     #: event is no longer in the heap, so cancelling it must not touch the
     #: pending-tombstone accounting.
     fired: bool = field(default=False, compare=False)
-    #: Back-reference to the owning engine so that cancelling through the
-    #: handle keeps the engine's pending-event accounting exact.
-    _engine: Optional["SimulationEngine"] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent.
-
-        Routes through the owning engine (when there is one) so
-        ``pending_count`` and the compaction heuristics stay exact; a
-        detached handle just flips its flag.
-        """
-        if self._engine is not None:
-            self._engine.cancel(self)
-        else:
-            self.cancelled = True
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
@@ -233,11 +217,7 @@ class SimulationEngine:
                 f"cannot schedule event {tag!r} with unreserved order stamp {seq}"
             )
         event = Event(
-            time=max(when, self._now),
-            seq=seq,
-            action=action,
-            tag=tag,
-            _engine=self,
+            time=max(when, self._now), seq=seq, action=action, tag=tag
         )
         self._scheduled += 1
         heapq.heappush(self._heap, event)

@@ -65,11 +65,6 @@ class JobRecord:
     finish_time: Optional[float] = None
     rejected: bool = False
 
-    @property
-    def completed(self) -> bool:
-        """Whether the job ran to completion (regardless of timeliness)."""
-        return self.finish_time is not None
-
     def missed(self, now: float) -> bool:
         """Whether the job's deadline is missed as of simulated time ``now``.
 

@@ -5,6 +5,10 @@ Every scheduler decision and GPU event of interest is appended to a
 purposes: debugging scheduler behaviour, asserting fine-grained properties in
 tests (e.g. "no more than four stages were ever resident in a context"), and
 producing the per-run summaries the analysis package renders.
+
+A recorder keeps every record it is given; there is no switch to disable
+or filter it.  An untraced run simply has no recorder: ``run_simulation``
+builds one only when ``RunConfig.record_trace`` is set.
 """
 
 from __future__ import annotations
@@ -20,21 +24,19 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 TRACE_BACKENDS = ("list", "columnar")
 
 
-def make_trace_recorder(
-    backend: str = "list", enabled: bool = True, kinds: Optional[set] = None
-):
+def make_trace_recorder(backend: str = "list"):
     """Build a trace recorder of the selected backend.
 
     Both backends are stdlib-only and expose the same recording/query
     API, so every trace consumer works unchanged against either.
     """
     if backend == "list":
-        return TraceRecorder(enabled=enabled, kinds=kinds)
+        return TraceRecorder()
     if backend == "columnar":
         # late import: trace_columnar imports TraceRecord from here
         from repro.sim.trace_columnar import ColumnarTrace
 
-        return ColumnarTrace(enabled=enabled, kinds=kinds)
+        return ColumnarTrace()
     raise ValueError(
         f"trace_backend must be one of {TRACE_BACKENDS}, got {backend!r}"
     )
@@ -64,25 +66,9 @@ class TraceRecord:
 
 
 class TraceRecorder:
-    """Append-only trace with cheap filtering.
+    """Append-only trace with cheap filtering."""
 
-    Recording can be disabled wholesale (``enabled=False``) for large
-    parameter sweeps where only aggregate metrics matter; ``record`` then
-    becomes a no-op so hot paths stay cheap.
-    """
-
-    def __init__(self, enabled: bool = True, kinds: Optional[set] = None) -> None:
-        """Create a recorder.
-
-        Parameters
-        ----------
-        enabled:
-            When ``False`` every :meth:`record` call is dropped.
-        kinds:
-            Optional allow-list of record kinds; other kinds are dropped.
-        """
-        self.enabled = enabled
-        self._kinds = kinds
+    def __init__(self) -> None:
         self._records: List[TraceRecord] = []
 
     def __len__(self) -> int:
@@ -92,16 +78,8 @@ class TraceRecorder:
         return iter(self._records)
 
     def record(self, time: float, kind: str, **fields: Any) -> None:
-        """Append a record unless recording is disabled or filtered out."""
-        if not self.enabled:
-            return
-        if self._kinds is not None and kind not in self._kinds:
-            return
+        """Append a record."""
         self._records.append(TraceRecord(time=time, kind=kind, fields=fields))
-
-    def clear(self) -> None:
-        """Drop all records."""
-        self._records.clear()
 
     # ------------------------------------------------------------------
     # Queries

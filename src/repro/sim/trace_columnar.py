@@ -20,7 +20,7 @@ same stream as flat per-column arrays instead:
 
 The class is drop-in API-compatible with :class:`TraceRecorder`
 (``record`` / ``__iter__`` / ``__len__`` / ``of_kind`` / ``where`` /
-``kinds`` / ``last`` / ``clear`` / ``enabled``), selectable per run via
+``kinds`` / ``last``), selectable per run via
 ``RunConfig(trace_backend="columnar")``, and the payload round-trips to
 disk through :mod:`repro.sim.trace_io`.
 """
@@ -28,7 +28,7 @@ disk through :mod:`repro.sim.trace_io`.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.sim.trace import TraceRecord
 
@@ -158,9 +158,7 @@ class ColumnarTrace:
     the module docstring for the storage layout.
     """
 
-    def __init__(self, enabled: bool = True, kinds: Optional[set] = None) -> None:
-        self.enabled = enabled
-        self._kinds = kinds
+    def __init__(self) -> None:
         self._times = array("d")
         self._kind_ids = array("i")  # kind id per record
         self._rows = array("q")  # record's row within its kind group
@@ -188,11 +186,7 @@ class ColumnarTrace:
     # Recording (TraceRecorder API)
     # ------------------------------------------------------------------
     def record(self, time: float, kind: str, **fields: Any) -> None:
-        """Append a record unless recording is disabled or filtered out."""
-        if not self.enabled:
-            return
-        if self._kinds is not None and kind not in self._kinds:
-            return
+        """Append a record."""
         kind_id = self._kind_lookup.get(kind)
         if kind_id is None:
             kind_id = len(self._kind_names)
@@ -204,10 +198,6 @@ class ColumnarTrace:
         self._kind_ids.append(kind_id)
         self._rows.append(group.rows)
         group.append(len(self._times) - 1, fields, self)
-
-    def clear(self) -> None:
-        """Drop all records (kind/string intern tables included)."""
-        self.__init__(enabled=self.enabled, kinds=self._kinds)
 
     def __len__(self) -> int:
         return len(self._times)

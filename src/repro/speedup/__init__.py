@@ -7,11 +7,12 @@ ResNet18 operation stays below 7x, and the full network reaches ~23x.
 
 This package encodes that characterization:
 
-* :mod:`repro.speedup.model` — saturating speedup curve primitives;
+* :mod:`repro.speedup.model` — the one curve family: the serial-fraction
+  law, calibrated (not fitted) to one Fig. 1 value per operation;
 * :mod:`repro.speedup.calibration` — per-operation curve parameters and the
   single-SM baseline cost model, both calibrated to Fig. 1;
 * :mod:`repro.speedup.composite` — composite curves for operator sequences
-  (stages, whole networks);
+  (stages, whole networks), and the stage width demand the allocator uses;
 * :mod:`repro.speedup.measure` — the isolation-measurement harness that
   regenerates Fig. 1 from the simulator.
 """
@@ -24,12 +25,10 @@ from repro.speedup.calibration import (
     operator_width_limit,
 )
 from repro.speedup.composite import CompositeWorkload, composite_for_ops
-from repro.speedup.fitting import fit_curve, fit_quality, fit_sigma
 from repro.speedup.measure import measure_network_speedup, measure_op_speedups
 from repro.speedup.model import (
     SaturatingCurve,
     SpeedupCurve,
-    TabulatedCurve,
     WidthLimitedCurve,
     sigma_for_target,
 )
@@ -37,7 +36,6 @@ from repro.speedup.model import (
 __all__ = [
     "SpeedupCurve",
     "SaturatingCurve",
-    "TabulatedCurve",
     "WidthLimitedCurve",
     "sigma_for_target",
     "DeviceCalibration",
@@ -48,8 +46,5 @@ __all__ = [
     "CompositeWorkload",
     "composite_for_ops",
     "measure_op_speedups",
-    "fit_sigma",
-    "fit_curve",
-    "fit_quality",
     "measure_network_speedup",
 ]

@@ -7,20 +7,22 @@ first few SMs and then flattens.  We model each curve with the classic
     speedup(s) = s / (1 + sigma * (s - 1))
 
 which satisfies speedup(1) = 1, is strictly increasing and concave, and
-saturates toward ``1/sigma``.  ``sigma`` is fitted per operation type so the
-curve passes through the paper's measured value at 68 SMs
-(:func:`sigma_for_target`).
+saturates toward ``1/sigma``.  ``sigma`` is calibrated per operation type so
+the curve passes through the paper's measured value at 68 SMs
+(:func:`sigma_for_target`).  This is the simulator's only curve family.
 
 A second effect limits parallelism per *instance*: a kernel whose output has
 few elements cannot occupy many SMs regardless of the operation type.
 :class:`WidthLimitedCurve` clamps the SM count fed to an underlying curve.
+A stage's useful width (the SM count beyond which extra SMs buy little) is
+derived from its whole operator sequence, by
+:meth:`repro.speedup.composite.CompositeWorkload.width_demand`.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import List, Protocol, Sequence, Tuple
+from typing import Protocol
 
 
 class SpeedupCurve(Protocol):
@@ -81,31 +83,6 @@ class SaturatingCurve:
             return sms
         return sms / (1.0 + self.sigma * (sms - 1.0))
 
-    @property
-    def asymptote(self) -> float:
-        """Least upper bound of the curve (``1/sigma``; inf when sigma=0)."""
-        if self.sigma == 0.0:
-            return float("inf")
-        return 1.0 / self.sigma
-
-    def sms_for_fraction(self, fraction: float, reference_sms: float) -> float:
-        """Smallest SM count reaching ``fraction`` of speedup at ``reference_sms``.
-
-        Used to derive *width demands*: the SM count beyond which additional
-        allocation is mostly wasted.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        target = fraction * self.speedup(reference_sms)
-        if target <= 1.0:
-            return target
-        # Invert s / (1 + sigma*(s-1)) = target  =>
-        # s * (1 - sigma*target) = target * (1 - sigma)
-        denominator = 1.0 - self.sigma * target
-        if denominator <= 0.0:
-            return reference_sms
-        return min(reference_sms, target * (1.0 - self.sigma) / denominator)
-
 
 @dataclass(frozen=True)
 class WidthLimitedCurve:
@@ -125,42 +102,3 @@ class WidthLimitedCurve:
     def speedup(self, sms: float) -> float:
         """Speedup with the SM count clamped at the width limit."""
         return self.inner.speedup(min(sms, self.width))
-
-
-class TabulatedCurve:
-    """Piecewise-linear curve through measured (sms, speedup) points.
-
-    Used to replay measured curves (e.g. from the isolation harness) back
-    into the model, and to let downstream users plug in their own hardware
-    measurements.
-    """
-
-    def __init__(self, points: Sequence[Tuple[float, float]]) -> None:
-        """Create from (sms, speedup) pairs; at least two, strictly
-        increasing in sms, non-decreasing in speedup."""
-        if len(points) < 2:
-            raise ValueError("need at least two calibration points")
-        ordered = sorted(points)
-        sms_values = [p[0] for p in ordered]
-        speedups = [p[1] for p in ordered]
-        if any(b <= a for a, b in zip(sms_values, sms_values[1:])):
-            raise ValueError("sms values must be strictly increasing")
-        if any(b < a for a, b in zip(speedups, speedups[1:])):
-            raise ValueError("speedup must be non-decreasing in sms")
-        if any(s <= 0 for s in speedups):
-            raise ValueError("speedups must be positive")
-        self._sms: List[float] = sms_values
-        self._speedup: List[float] = speedups
-
-    def speedup(self, sms: float) -> float:
-        """Linear interpolation, clamped at both ends."""
-        if sms <= self._sms[0]:
-            # Degrade proportionally below the first point.
-            return self._speedup[0] * max(sms, 0.0) / self._sms[0]
-        if sms >= self._sms[-1]:
-            return self._speedup[-1]
-        index = bisect.bisect_right(self._sms, sms)
-        x0, x1 = self._sms[index - 1], self._sms[index]
-        y0, y1 = self._speedup[index - 1], self._speedup[index]
-        ratio = (sms - x0) / (x1 - x0)
-        return y0 + ratio * (y1 - y0)

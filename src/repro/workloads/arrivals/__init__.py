@@ -59,8 +59,14 @@ __all__ = [
 
 
 def _replay_factory(path: str = "") -> ReplayArrivals:
-    """Spec-string factory: ``replay:path=arrivals.jsonl`` (lazy read)."""
-    return ReplayArrivals(path=path or None)
+    """Spec-string factory: ``replay:path=arrivals.jsonl`` (lazy read).
+
+    ``path`` is required: a replay of no log would release nothing and
+    report a perfect run.
+    """
+    if not path:
+        raise ValueError("replay needs path=<arrival log>; path is empty")
+    return ReplayArrivals(path=path)
 
 
 register_arrival(

@@ -13,12 +13,25 @@ independent across tasks (see :mod:`repro.workloads.arrivals.base`).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 from repro.core.task import TaskSpec
 from repro.workloads.arrivals.base import ArrivalProcess
+
+
+def _require_finite_positive(process: ArrivalProcess, *names: str) -> None:
+    """Raise a ``ValueError`` naming the first field that is not a finite,
+    positive number (an infinite rate never lets the clock advance, and a
+    NaN one silently releases almost nothing)."""
+    for name in names:
+        value = getattr(process, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(
+                f"{name} must be finite and positive, got {value}"
+            )
 
 
 class PeriodicArrivals(ArrivalProcess):
@@ -61,10 +74,7 @@ class PoissonArrivals(ArrivalProcess):
     name = "poisson"
 
     def __post_init__(self) -> None:
-        if self.rate_scale <= 0:
-            raise ValueError(
-                f"rate_scale must be positive, got {self.rate_scale}"
-            )
+        _require_finite_positive(self, "rate_scale")
 
     def stream(self, task: TaskSpec, seed: int) -> Iterator[float]:
         rate = self.rate_scale / task.period
@@ -111,16 +121,7 @@ class MmppArrivals(ArrivalProcess):
     name = "mmpp"
 
     def __post_init__(self) -> None:
-        if self.burst <= 0 or self.calm <= 0:
-            raise ValueError(
-                f"state rates must be positive, got burst={self.burst}, "
-                f"calm={self.calm}"
-            )
-        if self.sojourn_periods <= 0:
-            raise ValueError(
-                f"sojourn_periods must be positive, got "
-                f"{self.sojourn_periods}"
-            )
+        _require_finite_positive(self, "burst", "calm", "sojourn_periods")
 
     def stream(self, task: TaskSpec, seed: int) -> Iterator[float]:
         rates = (self.calm / task.period, self.burst / task.period)
@@ -182,13 +183,7 @@ class DiurnalArrivals(ArrivalProcess):
     name = "diurnal"
 
     def __post_init__(self) -> None:
-        if self.day <= 0:
-            raise ValueError(f"day must be positive, got {self.day}")
-        if self.trough <= 0 or self.peak <= 0:
-            raise ValueError(
-                f"rate multipliers must be positive, got "
-                f"trough={self.trough}, peak={self.peak}"
-            )
+        _require_finite_positive(self, "day", "trough", "peak")
 
     def phases(self) -> Tuple[Tuple[float, float], ...]:
         """``(phase start as a day fraction, rate multiplier)`` segments."""

@@ -158,11 +158,6 @@ class ReplayArrivals(ArrivalProcess):
         if self._events and self._path:
             raise ValueError("pass events or path, not both")
 
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "ReplayArrivals":
-        """Eagerly-loaded variant (validates the log immediately)."""
-        return cls(events=read_arrival_log(path))
-
     def events(self) -> Tuple[ArrivalEvent, ...]:
         """The replayed events (reads the log on first call when lazy)."""
         if self._path is not None and not self._events:

@@ -81,10 +81,6 @@ def template_task(
     return _TEMPLATE_CACHE[key]
 
 
-# Backwards-compatible private alias (pre-synth callers).
-_template = template_task
-
-
 def identical_periodic_tasks(
     count: int,
     nominal_sms: float,

@@ -29,6 +29,15 @@ from repro.gpu.spec import RTX_2080_TI
 from repro.workloads.generator import identical_periodic_tasks
 
 
+#: Queue specs that once ran with a wrong admission rule: a NaN depth
+#: rejected every job, and infinite or fractional depths were accepted.
+BAD_ADMISSION_SPECS = [
+    ("queue:depth=nan", "depth"),
+    ("queue:depth=inf", "depth"),
+    ("queue:depth=2.5", "depth"),
+]
+
+
 class _Job:
     """Minimal stand-in for JobInstance in pure-policy tests."""
 
@@ -101,6 +110,11 @@ class TestPolicies:
         with pytest.raises(ValueError, match="depth"):
             BoundedQueue(depth=0)
 
+    @pytest.mark.parametrize("depth", [True, 2.0, "2"])
+    def test_bounded_queue_accepts_only_an_int_depth(self, depth):
+        with pytest.raises(ValueError, match="depth"):
+            BoundedQueue(depth=depth)
+
     @pytest.mark.parametrize(
         "policy",
         [SkipIfBusy(), AdmitAll(), RejectIfBusy(), BoundedQueue(depth=3)],
@@ -147,6 +161,11 @@ class TestSpecs:
             resolve_admission("bogus")
         with pytest.raises(ValueError, match="bad parameters"):
             resolve_admission("queue:nope=1")
+
+    @pytest.mark.parametrize("spec,field", BAD_ADMISSION_SPECS)
+    def test_resolve_names_the_bad_field(self, spec, field):
+        with pytest.raises(ValueError, match=field):
+            resolve_admission(spec)
 
     def test_builtins_registered_with_descriptions(self):
         names = [name for name, _ in list_admission_policies()]
@@ -227,7 +246,8 @@ class TestSchedulerIntegration:
 
     def test_admit_all_policy_matches_ablation_flag(self, pool):
         class BacklogSgprs(SgprsScheduler):
-            admit_all_releases = True
+            def admit_job(self, job, previous):
+                return True
 
         tasks = identical_periodic_tasks(
             6, nominal_sms=pool.sms_per_context

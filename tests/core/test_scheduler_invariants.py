@@ -186,7 +186,9 @@ class TestSheddingWorkConservation:
             overload)."""
 
             name = "sgprs_shedding"
-            admit_all_releases = True
+
+            def admit_job(self, job, previous):
+                return True
 
             def _release_job(self, task):
                 super()._release_job(task)

@@ -76,7 +76,9 @@ class TestCacheResume:
         with pytest.raises(WorkerKilled):
             run_grid(SPEC, cache_dir=tmp_path, point_fn=crasher)
         # the crash left exactly K valid checkpoints behind
-        assert len(ResultCache(tmp_path)) == self.KILL_AFTER
+        assert len(ResultCache(tmp_path).backend.list_prefix("")) == (
+            self.KILL_AFTER
+        )
 
         counter = CountingWorker()
         resumed = run_grid(SPEC, cache_dir=tmp_path, point_fn=counter)
@@ -253,7 +255,7 @@ class TestCliResume:
         cache = ResultCache(run_dir / CACHE_SUBDIR)
         spec = load_manifest(run_dir).spec
         for point in list(spec.points())[:3]:
-            cache.path_for(point).unlink()
+            assert cache.backend.delete(cache.key_for(point))
         assert main(["sweep", "--resume", str(run_dir)]) == 0
         assert "5 cached, 3 computed" in capsys.readouterr().out
 

@@ -11,6 +11,8 @@ from repro.exp.grid import (
     register_variant,
     resolve_variant,
 )
+from tests.core.test_admission import BAD_ADMISSION_SPECS
+from tests.workloads.test_arrivals import BAD_ARRIVAL_SPECS
 
 
 def small_spec(**overrides):
@@ -215,6 +217,24 @@ class TestArrivalAxis:
                 num_tasks=2,
                 seed=0,
                 arrival="",
+            )
+
+    @pytest.mark.parametrize(
+        "axis,spec,field",
+        [("arrival", spec, field) for spec, field in BAD_ARRIVAL_SPECS]
+        + [("admission", spec, field) for spec, field in BAD_ADMISSION_SPECS],
+    )
+    def test_bad_spec_fails_when_the_point_is_built(self, axis, spec, field):
+        # GridPoint resolves both specs, so a sweep fails before any
+        # point runs
+        with pytest.raises(ValueError, match=field):
+            GridPoint(
+                scenario="scenario1",
+                num_contexts=2,
+                variant="sgprs_1.5",
+                num_tasks=4,
+                seed=0,
+                **{axis: spec},
             )
 
     def test_hash_sensitive_to_arrival_and_admission(self):

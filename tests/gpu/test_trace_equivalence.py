@@ -194,7 +194,9 @@ class _BacklogSgprs(SgprsScheduler):
     """Admit-everything ablation: queues snowball, change points are dense."""
 
     name = "sgprs_backlog"
-    admit_all_releases = True
+
+    def admit_job(self, job, previous):
+        return True
 
 
 class SheddingSgprs(_BacklogSgprs):

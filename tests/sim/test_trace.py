@@ -39,24 +39,6 @@ class TestRecording:
         trace.record(2.0, "beta")
         assert len(trace) == 2
 
-    def test_disabled_recorder_drops_everything(self, backend):
-        trace = make_trace_recorder(backend, enabled=False)
-        trace.record(1.0, "alpha")
-        assert len(trace) == 0
-
-    def test_kind_filter(self, backend):
-        trace = make_trace_recorder(backend, kinds={"keep"})
-        trace.record(1.0, "keep")
-        trace.record(2.0, "drop")
-        assert len(trace) == 1
-        assert trace.of_kind("drop") == []
-
-    def test_clear(self, backend):
-        trace = make_trace_recorder(backend)
-        trace.record(1.0, "alpha")
-        trace.clear()
-        assert len(trace) == 0
-
     def test_iteration_preserves_order(self, backend):
         trace = make_trace_recorder(backend)
         for index in range(5):
@@ -185,15 +167,6 @@ class TestColumnarInternals:
         listed.record(2.0, "finish", job=1, ok=True)
         rebuilt = ColumnarTrace.from_records(listed)
         assert list(rebuilt) == list(listed)
-
-    def test_clear_resets_columns(self):
-        trace = ColumnarTrace()
-        trace.record(1.0, "tick", i=1)
-        trace.clear()
-        assert len(trace) == 0
-        assert list(trace) == []
-        trace.record(2.0, "tock", j=2)
-        assert [r.kind for r in trace] == ["tock"]
 
 
 class TestTraceRecord:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.speedup.model import (
     SaturatingCurve,
-    TabulatedCurve,
     WidthLimitedCurve,
     sigma_for_target,
 )
@@ -51,10 +50,6 @@ class TestSaturatingCurve:
         ]
         assert all(b < a + 1e-12 for a, b in zip(gains, gains[1:]))
 
-    def test_asymptote(self):
-        assert SaturatingCurve(0.1).asymptote == pytest.approx(10.0)
-        assert SaturatingCurve(0.0).asymptote == float("inf")
-
     def test_fractional_share_degrades_linearly(self):
         assert SaturatingCurve(0.1).speedup(0.5) == pytest.approx(0.5)
 
@@ -66,20 +61,6 @@ class TestSaturatingCurve:
             SaturatingCurve(-0.1)
         with pytest.raises(ValueError):
             SaturatingCurve(1.5)
-
-    def test_sms_for_fraction_inverts_curve(self):
-        curve = SaturatingCurve(sigma_for_target(20.0, 68))
-        sms = curve.sms_for_fraction(0.9, 68)
-        assert curve.speedup(sms) == pytest.approx(0.9 * 20.0, rel=1e-6)
-        assert sms < 68
-
-    def test_sms_for_fraction_full(self):
-        curve = SaturatingCurve(0.05)
-        assert curve.sms_for_fraction(1.0, 68) == pytest.approx(68.0)
-
-    def test_sms_for_fraction_validates(self):
-        with pytest.raises(ValueError):
-            SaturatingCurve(0.05).sms_for_fraction(0.0, 68)
 
 
 class TestWidthLimitedCurve:
@@ -96,37 +77,3 @@ class TestWidthLimitedCurve:
     def test_width_below_one_rejected(self):
         with pytest.raises(ValueError):
             WidthLimitedCurve(SaturatingCurve(0.05), width=0.5)
-
-
-class TestTabulatedCurve:
-    def test_interpolation(self):
-        curve = TabulatedCurve([(1, 1.0), (3, 3.0)])
-        assert curve.speedup(2.0) == pytest.approx(2.0)
-
-    def test_clamps_above(self):
-        curve = TabulatedCurve([(1, 1.0), (4, 2.0)])
-        assert curve.speedup(100.0) == pytest.approx(2.0)
-
-    def test_proportional_below(self):
-        curve = TabulatedCurve([(2, 1.5), (4, 2.0)])
-        assert curve.speedup(1.0) == pytest.approx(0.75)
-
-    def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            TabulatedCurve([(1, 1.0)])
-
-    def test_rejects_non_increasing_sms(self):
-        with pytest.raises(ValueError):
-            TabulatedCurve([(1, 1.0), (1, 2.0)])
-
-    def test_rejects_decreasing_speedup(self):
-        with pytest.raises(ValueError):
-            TabulatedCurve([(1, 2.0), (2, 1.0)])
-
-    def test_rejects_non_positive_speedup(self):
-        with pytest.raises(ValueError):
-            TabulatedCurve([(1, 0.0), (2, 1.0)])
-
-    def test_unsorted_input_accepted(self):
-        curve = TabulatedCurve([(4, 2.0), (1, 1.0)])
-        assert curve.speedup(4) == pytest.approx(2.0)

@@ -100,6 +100,33 @@ class TestRegistry:
             del _ARRIVAL_REGISTRY["every_other_test"]
 
 
+#: Specs whose parameters are not finite and positive, each with the
+#: field its error must name.  An infinite rate never lets the release
+#: clock advance (the run hangs), a NaN one releases almost nothing and
+#: reports DMR 0, and a replay without a log releases nothing at all.
+#: They are only ever resolved, never run.
+BAD_ARRIVAL_SPECS = [
+    ("poisson:rate_scale=inf", "rate_scale"),
+    ("poisson:rate_scale=nan", "rate_scale"),
+    ("mmpp:burst=inf", "burst"),
+    ("mmpp:burst=nan", "burst"),
+    ("mmpp:calm=nan", "calm"),
+    ("mmpp:sojourn_periods=nan", "sojourn_periods"),
+    ("diurnal:peak=nan", "peak"),
+    ("diurnal:trough=inf", "trough"),
+    ("diurnal:day=inf", "day"),
+    ("replay", "path"),
+    ("replay:path=", "path"),
+]
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize("spec,field", BAD_ARRIVAL_SPECS)
+    def test_resolve_names_the_bad_field(self, spec, field):
+        with pytest.raises(ValueError, match=field):
+            resolve_arrival(spec)
+
+
 # ---------------------------------------------------------------------------
 # Seed derivation and determinism
 # ---------------------------------------------------------------------------
@@ -241,8 +268,10 @@ class TestMmpp:
         assert sum(gaps[:q]) / q < sum(gaps[-q:]) / q / 4
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="state rates"):
+        with pytest.raises(ValueError, match="burst"):
             MmppArrivals(burst=0.0)
+        with pytest.raises(ValueError, match="calm"):
+            MmppArrivals(calm=-1.0)
         with pytest.raises(ValueError, match="sojourn_periods"):
             MmppArrivals(sojourn_periods=-1.0)
 
@@ -284,8 +313,10 @@ class TestDiurnal:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="day"):
             DiurnalArrivals(day=0.0)
-        with pytest.raises(ValueError, match="rate multipliers"):
+        with pytest.raises(ValueError, match="trough"):
             DiurnalArrivals(trough=-1.0)
+        with pytest.raises(ValueError, match="peak"):
+            DiurnalArrivals(peak=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +409,33 @@ class TestReplay:
     def test_unknown_tasks_never_release(self):
         replay = ReplayArrivals(events=[(0.0, "cam0")])
         assert list(replay.stream(make_task("other"), 0)) == []
+
+    def test_replay_spec_drives_a_grid_point(self, tmp_path):
+        # The spec-string path end to end: GridPoint resolves the spec
+        # through the registry, and the worker's run reads the log lazily.
+        from repro.exp.grid import GridPoint
+        from repro.exp.worker import run_point
+
+        duration = 0.5
+        tasks = identical_periodic_tasks(count=4, nominal_sms=34)
+        events = record_arrivals(
+            PoissonArrivals(), tasks, horizon=duration, seed=3
+        )
+        path = tmp_path / "log.jsonl"
+        assert write_arrival_log(path, events) == len(events) > 0
+        result = run_point(
+            GridPoint(
+                scenario="scenario1",
+                num_contexts=2,
+                variant="sgprs_1.5",
+                num_tasks=4,
+                seed=0,
+                duration=duration,
+                warmup=0.1,
+                arrival=f"replay:path={path}",
+            )
+        )
+        assert result.released == len(events)
 
 
 # ---------------------------------------------------------------------------
