@@ -18,10 +18,12 @@ Two tiers:
 * ``test_trace_throughput`` (slow tier) measures append and replay
   (iteration) events/sec on a bigger trace plus the end-to-end
   serialise/deserialise rate.  The gate is deliberately loose (columnar
-  appends within 4x of the list backend's rate — measured ~1.4x slower):
-  the point of the columnar backend is memory, and the gate only
-  guards against an accidental order-of-magnitude regression in the
-  hot ``record()`` path.
+  appends within 4x of the list backend's rate; measured at 0.68x the
+  list backend's append time on this 58k-event trace, the last chunk's
+  flush included: median of 9 runs, quartiles 0.61-0.69, on a 2-vCPU
+  sandbox): the point of the columnar backend is memory, and the gate
+  only guards against an accidental order-of-magnitude regression in
+  the hot ``record()`` path.
 
 Results land in ``results/bench_trace.txt`` (human-readable) and
 ``results/BENCH_trace.json`` (machine-readable trajectory); CI uploads
@@ -83,9 +85,11 @@ def measure(num_tasks, duration):
     record_into(TraceRecorder(), events)
     list_wall = time.perf_counter() - started
 
-    # columnar backend: nbytes() is an exact deterministic buffer count
+    # columnar backend: nbytes() is an exact deterministic buffer count;
+    # the len() read columnarises the last pending chunk inside the timing
     started = time.perf_counter()
     columnar = record_into(ColumnarTrace(), events)
+    len(columnar)
     columnar_wall = time.perf_counter() - started
     columnar_bytes = columnar.nbytes()
 
@@ -198,5 +202,5 @@ def test_trace_throughput():
         >= record["list"]["append_events_per_second"] / 4.0
     ), (
         "columnar record() fell more than 4x behind the list backend "
-        f"(got {record['append_slowdown']:.2f}x slower, expect ~1.4x)"
+        f"(got {record['append_slowdown']:.2f}x its time, expect ~0.7x)"
     )

@@ -404,16 +404,19 @@ def _sweep_paper(scenario: Scenario, args: argparse.Namespace) -> None:
     counts = args.tasks or (FAST_TASK_COUNTS if args.fast else FULL_TASK_COUNTS)
     duration = args.duration or (2.5 if args.fast else 6.0)
     warmup = args.warmup or (1.0 if args.fast else 1.5)
-    grid = scenario_grid(
-        scenario,
-        sorted(counts),
-        duration=duration,
-        warmup=warmup,
-        seeds=tuple(range(args.seeds)),
-        work_jitter_cv=args.jitter_cv,
-        arrivals=tuple(args.arrival or ("periodic",)),
-        admission=args.admission,
-    )
+    try:
+        grid = scenario_grid(
+            scenario,
+            sorted(counts),
+            duration=duration,
+            warmup=warmup,
+            seeds=tuple(range(args.seeds)),
+            work_jitter_cv=args.jitter_cv,
+            arrivals=tuple(args.arrival or ("periodic",)),
+            admission=args.admission,
+        )
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
     result = _run_spec(grid, args)
     if result is None:  # --submit: initialised only, nothing computed
         return
@@ -435,20 +438,23 @@ def _sweep_synth(args: argparse.Namespace) -> None:
     )
     duration = args.duration or (1.5 if args.fast else 4.0)
     warmup = args.warmup or (0.5 if args.fast else 1.0)
-    grid = synth_grid(
-        scenario.name,
-        utilizations=args.utilizations or (),
-        task_counts=tuple(sorted(counts)),
-        duration=duration,
-        warmup=warmup,
-        seeds=tuple(range(args.seeds)),
-        work_jitter_cv=args.jitter_cv,
-        period_class=args.period_class,
-        zoo_mix=args.zoo_mix,
-        deadline_mode=args.deadline_mode,
-        arrivals=tuple(args.arrival or ("periodic",)),
-        admission=args.admission,
-    )
+    try:
+        grid = synth_grid(
+            scenario.name,
+            utilizations=args.utilizations or (),
+            task_counts=tuple(sorted(counts)),
+            duration=duration,
+            warmup=warmup,
+            seeds=tuple(range(args.seeds)),
+            work_jitter_cv=args.jitter_cv,
+            period_class=args.period_class,
+            zoo_mix=args.zoo_mix,
+            deadline_mode=args.deadline_mode,
+            arrivals=tuple(args.arrival or ("periodic",)),
+            admission=args.admission,
+        )
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
     result = _run_spec(grid, args)
     if result is None:  # --submit: initialised only, nothing computed
         return

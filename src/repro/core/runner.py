@@ -27,6 +27,15 @@ from repro.sim.metrics import MetricsCollector
 from repro.sim.trace import TRACE_BACKENDS, TraceRecorder, make_trace_recorder
 
 
+def validate_horizon(duration: float, warmup: float) -> None:
+    """A run's horizon rules: ``duration`` finite and positive, ``warmup``
+    in ``[0, duration)``.  Sweep points and specs apply them when built."""
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be finite and positive, got {duration}")
+    if not 0 <= warmup < duration:
+        raise ValueError(f"warmup must be in [0, duration), got {warmup}")
+
+
 @dataclass
 class RunConfig:
     """Configuration of one simulation run.
@@ -84,14 +93,7 @@ class RunConfig:
     admission: Union[str, AdmissionPolicy] = ""
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise ValueError(
-                f"duration must be finite and positive, got {self.duration}"
-            )
-        if not 0 <= self.warmup < self.duration:
-            raise ValueError(
-                f"warmup must be in [0, duration), got {self.warmup}"
-            )
+        validate_horizon(self.duration, self.warmup)
         if self.trace_backend not in TRACE_BACKENDS:
             raise ValueError(
                 f"trace_backend must be one of {TRACE_BACKENDS}, got "

@@ -8,6 +8,7 @@ stages' *virtual* relative deadlines (derived offline, Section IV-A2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -91,12 +92,21 @@ class TaskSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("task name must be non-empty")
-        if self.period <= 0:
-            raise ValueError(f"task {self.name!r}: period must be positive")
-        if self.relative_deadline <= 0:
-            raise ValueError(f"task {self.name!r}: deadline must be positive")
-        if self.release_offset < 0:
-            raise ValueError(f"task {self.name!r}: offset must be >= 0")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise ValueError(
+                f"task {self.name!r}: period must be finite and positive, "
+                f"got {self.period}"
+            )
+        if not (math.isfinite(self.relative_deadline) and self.relative_deadline > 0):
+            raise ValueError(
+                f"task {self.name!r}: deadline must be finite and positive, "
+                f"got {self.relative_deadline}"
+            )
+        if not (math.isfinite(self.release_offset) and self.release_offset >= 0):
+            raise ValueError(
+                f"task {self.name!r}: offset must be finite and >= 0, "
+                f"got {self.release_offset}"
+            )
 
     @property
     def num_stages(self) -> int:

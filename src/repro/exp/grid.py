@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterator, List, Tuple, Type
 
 from repro.core.naive import NaiveScheduler
+from repro.core.runner import validate_horizon
 from repro.core.scheduler import SchedulerBase
 from repro.core.sgprs import SgprsScheduler
 from repro.workloads.generator import DEFAULT_NUM_STAGES, DEFAULT_PERIOD
@@ -72,9 +74,9 @@ def _validate_workload_axes(
     a module-level import here would tighten the package import cycle for
     no benefit (validation only happens at object construction time).
     """
-    if total_utilization < 0:
+    if not (math.isfinite(total_utilization) and total_utilization >= 0):
         raise ValueError(
-            f"total_utilization must be >= 0, got {total_utilization}"
+            f"total_utilization must be finite and >= 0, got {total_utilization}"
         )
     if workload == "identical":
         if total_utilization or period_class or zoo_mix or deadline_mode:
@@ -101,6 +103,14 @@ def _validate_workload_axes(
         raise ValueError(
             f"deadline_mode must be one of {DEADLINE_MODES}, got {deadline_mode!r}"
         )
+
+
+def _validate_time_axes(duration: float, warmup: float, period: float) -> None:
+    """``RunConfig``'s horizon rules plus a finite, positive period,
+    checked when a point or spec is built rather than when it runs."""
+    validate_horizon(duration, warmup)
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period must be finite and positive, got {period}")
 
 
 def _validate_open_system_axes(arrival: str, admission: str) -> None:
@@ -210,6 +220,7 @@ class GridPoint:
                 f"num_contexts must be >= 1, got {self.num_contexts}"
             )
         resolve_variant(self.variant)  # fail fast on unknown variants
+        _validate_time_axes(self.duration, self.warmup, self.period)
         _validate_workload_axes(
             self.workload,
             self.total_utilization,
@@ -327,9 +338,11 @@ class GridSpec:
             raise ValueError(
                 "a utilization axis requires a synth workload"
             )
-        if any(u <= 0 for u in self.utilizations):
+        _validate_time_axes(self.duration, self.warmup, self.period)
+        if not all(math.isfinite(u) and u > 0 for u in self.utilizations):
             raise ValueError(
-                f"utilizations must be positive, got {self.utilizations}"
+                f"utilizations must be finite and positive, got "
+                f"{self.utilizations}"
             )
         _validate_workload_axes(
             self.workload,

@@ -26,12 +26,15 @@ All are defined once, on :class:`MetricsCollector`, from its per-job
 scalar record a run reports.  The collector is fed in one of two ways:
 live, by the scheduler during a run, or after the fact by
 :func:`metrics_from_trace`, which replays a trace's ``job_*`` records as
-the same calls.  A trace does not say whether a release was admitted;
-the replay reads it from record adjacency: the scheduler emits a
-release's ``job_skip``/``job_reject`` before any other record, so a
-release followed by anything else was admitted.  Stage-level records are
-kept as well so the scheduler's virtual-deadline behaviour can be
-analysed.
+the same calls.  From a :class:`~repro.sim.trace_columnar.ColumnarTrace`
+(what run stores ship) the replay reads those records' rows straight
+from the five ``job_*`` kinds' columns and materialises no record; any
+other trace is scanned record by record.  A trace does not say whether a
+release was admitted; the replay reads it from record adjacency: the
+scheduler emits a release's ``job_skip``/``job_reject`` as the very next
+record, so a release followed by anything else was admitted.
+Stage-level records are kept as well so the scheduler's virtual-deadline
+behaviour can be analysed.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.sim.trace_columnar import ColumnarTrace
 from repro.sim.trace_kinds import (
     JOB_COMPLETE,
     JOB_REJECT,
@@ -47,6 +51,10 @@ from repro.sim.trace_kinds import (
     JOB_SHED,
     JOB_SKIP,
 )
+
+#: The kinds trace replay reads, and the fields it reads from them.
+_JOB_KINDS = (JOB_RELEASE, JOB_SKIP, JOB_REJECT, JOB_COMPLETE, JOB_SHED)
+_JOB_FIELDS = ("task", "job", "deadline")
 
 
 @dataclass(slots=True)
@@ -451,56 +459,67 @@ class MetricsCollector:
         }
 
 
+def _job_rows(records: Iterable) -> Iterable[tuple]:
+    """``(index, kind, time, task, job, deadline)`` of each ``job_*``
+    record, in record order; ``None`` for an absent field."""
+    if isinstance(records, ColumnarTrace):
+        return records.rows(_JOB_KINDS, _JOB_FIELDS)
+    return (
+        (index, record.kind, record.time)
+        + tuple(map(record.get, _JOB_FIELDS))
+        for index, record in enumerate(records)
+        if record.kind in _JOB_KINDS
+    )
+
+
 def metrics_from_trace(
     records: Iterable, warmup: float, now: float
 ) -> Dict[str, object]:
     """Replay a trace's ``job_*`` records into a fresh collector.
 
     Takes either recorder backend, or records decoded straight off a
-    :mod:`repro.sim.trace_io` file, in time order; other kinds only close
-    a pending release (see the module docstring's adjacency rule).  Each
-    record becomes the collector call the scheduler made live, so the
-    result is :meth:`MetricsCollector.summary` of the original run.  A
-    ``job_skip`` makes no call: the job stays released and unfinished, a
-    miss once its deadline passes.  Malformed histories fail loudly: a
-    ``job_release`` without its ``deadline`` field, a skip or rejection
-    that does not follow its release, and whatever the collector itself
+    :mod:`repro.sim.trace_io` file, in time order; other kinds are not
+    read (see the module docstring's adjacency rule).  Each record
+    becomes the collector call the scheduler made live, so the result is
+    :meth:`MetricsCollector.summary` of the original run.  A ``job_skip``
+    makes no call: the job stays released and unfinished, a miss once its
+    deadline passes.  Malformed histories fail loudly: a ``job_release``
+    without its ``deadline`` field, a skip or rejection that is not the
+    very next record after its release, and whatever the collector itself
     refuses (unknown or twice-released jobs, time running backwards).
     """
     metrics = MetricsCollector(warmup=warmup)
     depth = 0
-    #: ``(task, job, release time)`` of the release awaiting its outcome.
-    pending: Optional[Tuple[str, int, float]] = None
-    for record in records:
-        kind = record.kind
-        if kind in (JOB_SKIP, JOB_REJECT):
-            key = (record.get("task"), record.get("job"))
-            if pending is None or pending[:2] != key:
-                raise ValueError(f"{kind} for job {key} does not follow its release")
+    #: ``(index, task, job, release time)`` of the release awaiting its
+    #: outcome.
+    pending: Optional[Tuple[int, str, int, float]] = None
+    for index, kind, time, task, job, deadline in _job_rows(records):
+        if kind == JOB_SKIP or kind == JOB_REJECT:
+            if pending is None or pending[:3] != (index - 1, task, job):
+                raise ValueError(
+                    f"{kind} for job {(task, job)} does not follow its release"
+                )
             if kind == JOB_REJECT:
-                metrics.job_rejected(*key)
+                metrics.job_rejected(task, job)
             pending = None
             continue
         if pending is not None:
             depth += 1
-            metrics.record_queue_depth(pending[2], depth)
+            metrics.record_queue_depth(pending[3], depth)
             pending = None
         if kind == JOB_RELEASE:
-            deadline = record.get("deadline")
             if deadline is None:
                 raise ValueError(
                     "job_release record lacks the 'deadline' field; "
                     "trace predates the trace-replay format"
                 )
-            pending = (record.get("task"), record.get("job"), record.time)
-            metrics.job_released(*pending, deadline)
-        elif kind in (JOB_COMPLETE, JOB_SHED):
+            metrics.job_released(task, job, time, deadline)
+            pending = (index, task, job, time)
+        else:
             if kind == JOB_COMPLETE:
-                metrics.job_completed(
-                    record.get("task"), record.get("job"), record.time
-                )
+                metrics.job_completed(task, job, time)
             depth -= 1
-            metrics.record_queue_depth(record.time, depth)
+            metrics.record_queue_depth(time, depth)
     if pending is not None:
-        metrics.record_queue_depth(pending[2], depth + 1)
+        metrics.record_queue_depth(pending[3], depth + 1)
     return metrics.summary(now)

@@ -39,6 +39,11 @@ Compatibility rules
   anything a scheduler records in a trace field must therefore be
   JSON-serialisable (every current trace kind records only floats,
   ints and strings, which never hit the ``o`` path).
+* How a recorder buffers records does not reach the format: the
+  columnar recorder columnarises records a chunk at a time, and
+  :func:`trace_to_bytes` flushes its pending chunk first, so the bytes
+  are those of recording every record one at a time (a test pins the
+  sha256 of a shipped multi-chunk trace).
 
 Shipping
 --------
@@ -98,6 +103,7 @@ def trace_to_bytes(trace) -> bytes:
     """Serialise a trace (either recorder backend) to format v1 bytes."""
     if not isinstance(trace, ColumnarTrace):
         trace = ColumnarTrace.from_records(trace)
+    trace._flush()
     header = {
         "records": len(trace),
         "kinds": trace._kind_names,

@@ -1,5 +1,7 @@
 """Unit tests for the task model."""
 
+import math
+
 import pytest
 
 from repro.core.task import StageSpec, TaskSpec, TaskSet
@@ -78,6 +80,28 @@ class TestTaskSpec:
         with pytest.raises(ValueError):
             TaskSpec(name="t", graph=build_simple_cnn(), period=0.0,
                      relative_deadline=0.1)
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"period": math.nan}, "period"),
+            ({"period": math.inf}, "period"),
+            ({"relative_deadline": math.nan}, "deadline"),
+            ({"relative_deadline": math.inf}, "deadline"),
+            ({"release_offset": math.nan}, "offset"),
+        ],
+    )
+    def test_non_finite_time_rejected(self, overrides, field):
+        fields = dict(period=0.1, relative_deadline=0.1)
+        fields.update(overrides)
+        with pytest.raises(ValueError, match=field):
+            TaskSpec(name="t", graph=build_simple_cnn(), **fields)
+
+    def test_generated_task_with_nan_period_rejected(self):
+        from repro.workloads.generator import identical_periodic_tasks
+
+        with pytest.raises(ValueError, match="period"):
+            identical_periodic_tasks(count=2, nominal_sms=34, period=math.nan)
 
     def test_validate_accepts_consistent_task(self, composite):
         make_task(composite).validate()

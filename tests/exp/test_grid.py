@@ -1,5 +1,7 @@
 """Unit tests for the experiment-grid specification."""
 
+import math
+
 import pytest
 
 from repro.core.naive import NaiveScheduler
@@ -13,6 +15,21 @@ from repro.exp.grid import (
 )
 from tests.core.test_admission import BAD_ADMISSION_SPECS
 from tests.workloads.test_arrivals import BAD_ARRIVAL_SPECS
+
+
+#: Time-axis values a point or spec must refuse when it is built, with
+#: the field the error names (``RunConfig``'s rules, plus the period).
+BAD_TIME_AXES = [
+    ({"duration": math.nan}, "duration"),
+    ({"duration": math.inf}, "duration"),
+    ({"duration": -1.0}, "duration"),
+    ({"warmup": math.nan}, "warmup"),
+    ({"warmup": -0.5}, "warmup"),
+    ({"warmup": 1.0, "duration": 1.0}, "warmup"),
+    ({"period": math.nan}, "period"),
+    ({"period": math.inf}, "period"),
+    ({"period": 0.0}, "period"),
+]
 
 
 def small_spec(**overrides):
@@ -118,6 +135,18 @@ class TestGridPoint:
     def test_label(self):
         assert self.point(base_seed=3).label == "scenario1/sgprs_1.5/n4/s3"
 
+    @pytest.mark.parametrize(
+        "overrides,field",
+        BAD_TIME_AXES
+        + [
+            ({"workload": "mixed_fleet", "total_utilization": bad}, "total_utilization")
+            for bad in (math.nan, math.inf, -1.0)
+        ],
+    )
+    def test_bad_axis_fails_when_the_point_is_built(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            self.point(**overrides)
+
 
 class TestGridSpec:
     def test_len_and_order(self):
@@ -160,6 +189,18 @@ class TestGridSpec:
             small_spec(seeds=())
         with pytest.raises(ValueError):
             small_spec(variants=("mystery",))
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        BAD_TIME_AXES
+        + [
+            ({"workload": "mixed_fleet", "utilizations": (1.0, bad)}, "utilizations")
+            for bad in (math.nan, math.inf)
+        ],
+    )
+    def test_bad_axis_fails_when_the_spec_is_built(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            small_spec(**overrides)
 
     def test_from_scenario(self):
         from repro.workloads.scenarios import SCENARIO_2

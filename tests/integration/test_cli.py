@@ -255,6 +255,26 @@ class TestDistributedSweep:
         assert "2 of 8 grid points" in capsys.readouterr().out
 
 
+class TestSweepRefusesBadAxes:
+    """A bad axis value stops ``repro sweep`` with the grid's one-line
+    reason before any point runs."""
+
+    @pytest.mark.parametrize(
+        "extra,field",
+        [
+            (["--arrival", "poisson:rate_scale=inf"], "rate_scale"),
+            (["--admission", "queue:depth=2.5"], "depth"),
+            (["--duration", "nan"], "duration"),
+            (["--duration", "1.0", "--warmup", "1.0"], "warmup"),
+            (["--scenario", "util_ramp", "--duration", "inf"], "duration"),
+            (["--scenario", "util_ramp", "--utilizations", "1.0,nan"], "utilizations"),
+        ],
+    )
+    def test_bad_axis_exits_naming_the_field(self, extra, field):
+        with pytest.raises(SystemExit, match=field):
+            main(["sweep", "--scenario", "1", "--tasks", "2", *extra])
+
+
 class TestUtilizationSweepArrivals:
     def test_tables_and_pivots_print_once_per_arrival(self, tmp_path, capsys):
         """A utilization sweep over two arrival processes prints each
@@ -445,6 +465,18 @@ class TestCliExitCodes:
     def test_resume_of_unknown_run_fails_cleanly(self, tmp_path):
         result = self._repro("sweep", "--resume", str(tmp_path / "ghost"))
         self._assert_refusal(result, "not a run directory")
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("--arrival", "poisson:rate_scale=inf", "rate_scale"),
+            ("--duration", "nan", "duration"),
+        ],
+    )
+    def test_bad_sweep_axis_fails_cleanly(self, flag, value, field):
+        result = self._repro("sweep", "--scenario", "1", "--tasks", "2", flag, value)
+        self._assert_refusal(result, field)
+        assert "Traceback" not in result.stderr
 
 
 class TestFig1:

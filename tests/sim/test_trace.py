@@ -154,6 +154,25 @@ class TestColumnarInternals:
         trace.record(4.0, "start", job=3)
         assert len(times) == 3 and len(jobs) == 2
 
+    def test_rows_read_chosen_kinds_in_record_order(self):
+        trace = ColumnarTrace()
+        trace.record(1.0, "start", job=1, name="a")
+        trace.record(2.0, "finish", job=1)
+        trace.record(3.0, "start", job=2)
+        trace.record(4.0, "other", job=9)
+        rows = list(trace.rows(["start", "finish", "absent"], ["job", "name"]))
+        assert rows == [
+            (0, "start", 1.0, 1, "a"),
+            (1, "finish", 2.0, 1, None),
+            (2, "start", 3.0, 2, None),
+        ]
+        # the same values TraceRecord.get reads off the materialised records
+        assert rows == [
+            (index, r.kind, r.time, r.get("job"), r.get("name"))
+            for index, r in enumerate(trace)
+            if r.kind in ("start", "finish")
+        ]
+
     def test_nbytes_grows_with_events(self):
         trace = ColumnarTrace()
         empty = trace.nbytes()

@@ -1,5 +1,6 @@
 """Round-trip and error-path tests for the on-disk trace format."""
 
+import hashlib
 import struct
 
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from repro.core.context_pool import ContextPoolConfig
 from repro.core.runner import RunConfig, run_simulation
 from repro.gpu.spec import RTX_2080_TI
-from repro.sim.trace import TraceRecorder
-from repro.sim.trace_columnar import ColumnarTrace
+from repro.sim.trace import TraceRecord, TraceRecorder
+from repro.sim.trace_columnar import CHUNK_RECORDS, ColumnarTrace
 from repro.sim.trace_io import (
     MAGIC,
     TRACE_FORMAT_VERSION,
@@ -120,3 +121,108 @@ class TestErrorPaths:
         corrupted = data[:10] + b"\xff" * hlen + data[10 + hlen :]
         with pytest.raises(ValueError, match="header"):
             trace_from_bytes(corrupted)
+
+
+#: sha256 of the format v1 bytes the traced point below ships.  It must
+#: never move: a trace's bytes depend on its records only, not on how the
+#: recorder buffers them.
+PINNED_POINT_SHA256 = (
+    "799e18e0a935042fe68c5e0baea1b789d2b9b3a32a68c5ec6ec381a7680ee7a9"
+)
+
+
+def shipped_point_trace():
+    """The v1 bytes ``run_point`` ships for a short MMPP + ``reject`` point
+    (11,165 records: two full chunks and a partial one)."""
+    from repro.exp.backend import InMemoryBackend
+    from repro.exp.dist import trace_key
+    from repro.exp.grid import GridPoint
+    from repro.exp.worker import run_point
+
+    point = GridPoint(
+        scenario="scenario1",
+        num_contexts=2,
+        variant="sgprs_1.5",
+        num_tasks=8,
+        seed=0,
+        duration=1.0,
+        warmup=0.2,
+        arrival="mmpp:burst=6",
+        admission="reject",
+    )
+    store = InMemoryBackend()
+    run_point(point, trace_store=store)
+    return store.read(trace_key(point)).data
+
+
+def one_at_a_time(records):
+    """A columnar trace fed ``records`` with a read after each, so that no
+    two records are ever columnarised together."""
+    trace = ColumnarTrace()
+    for record in records:
+        trace.record(record.time, record.kind, **record.fields)
+        len(trace)
+    return trace
+
+
+def mixed_records():
+    """One chunk of regular rows holding a missing field, an int/float
+    clash and a bool, each in a different kind."""
+    records = []
+    for index in range(60):
+        now = index * 0.01
+        task = f"cam{index % 3}"
+        release = {"task": task, "job": index, "deadline": now + 0.1}
+        stage = {"stage": f"{task}/j{index}/s0", "context": index % 2}
+        records.append(TraceRecord(now, "job_release", release))
+        records.append(TraceRecord(now, "stage_release", stage))
+        records.append(
+            TraceRecord(now, "allocation", {"pressure": 1.0, "resident": index})
+        )
+    # job 10's stage lacks its context, allocation 20 carries an int
+    # pressure, job 30's release a bool field no other release has
+    records[31] = TraceRecord(0.1, "stage_release", {"stage": "cam1/j10/s0"})
+    records[62] = TraceRecord(0.2, "allocation", {"pressure": 2, "resident": 20})
+    records[90] = TraceRecord(
+        0.3, "job_release", {"task": "cam0", "job": 30, "deadline": 0.4, "late": True}
+    )
+    return records
+
+
+class TestChunkedRecording:
+    """Chunked, column-at-a-time recording stores exactly what recording
+    one record at a time stores."""
+
+    def test_shipped_point_bytes_are_pinned(self):
+        data = shipped_point_trace()
+        assert len(trace_from_bytes(data)) > 2 * CHUNK_RECORDS
+        assert hashlib.sha256(data).hexdigest() == PINNED_POINT_SHA256
+
+    def test_shipped_point_matches_one_at_a_time(self):
+        data = shipped_point_trace()
+        records = list(trace_from_bytes(data))
+        assert trace_to_bytes(one_at_a_time(records)) == data
+        assert trace_to_bytes(ColumnarTrace.from_records(records)) == data
+
+    def test_mixed_chunk_matches_one_at_a_time(self):
+        records = mixed_records()
+        assert len(records) < CHUNK_RECORDS
+        chunked = ColumnarTrace.from_records(records)
+        single = one_at_a_time(records)
+        assert trace_to_bytes(chunked) == trace_to_bytes(single)
+        assert list(chunked) == list(single) == records
+        assert chunked.of_kind("job_release")[30].get("late") is True
+        assert chunked.of_kind("stage_release")[10].fields == {
+            "stage": "cam1/j10/s0"
+        }
+        clash = chunked.of_kind("allocation")[20].get("pressure")
+        assert clash == 2 and type(clash) is int
+
+    def test_records_wait_for_a_read(self):
+        trace = ColumnarTrace()
+        for index in range(CHUNK_RECORDS + 3):
+            trace.record(float(index), "tick", i=index)
+        assert trace._pending  # the last partial chunk is not columnarised
+        assert len(trace) == CHUNK_RECORDS + 3
+        assert not trace._pending
+        assert trace.last().get("i") == CHUNK_RECORDS + 2
