@@ -1,11 +1,13 @@
 """Execution-timeline analysis from traces.
 
-Turns a trace produced by a run with ``record_trace=True`` — either the
-list-backed :class:`~repro.sim.trace.TraceRecorder` or the columnar
-:class:`~repro.sim.trace_columnar.ColumnarTrace`; everything here only
-needs the shared iteration/query API — into per-context occupancy
-statistics, per-stage latency breakdowns, and a text Gantt chart — the
-tools one actually uses to debug why a task set misses deadlines.
+Turns a trace produced by a run with ``record_trace=True`` (a
+:class:`~repro.sim.trace_columnar.ColumnarTrace`, whose iteration walks
+each kind's columns; everything here only needs iteration over
+:class:`~repro.sim.trace.TraceRecord` objects, so a list of records or a
+:class:`~repro.sim.trace.TraceRecorder` works too) into per-context
+occupancy statistics, per-stage latency breakdowns, and a text Gantt
+chart — the tools one actually uses to debug why a task set misses
+deadlines.
 :func:`first_divergence` compares two traces event by event, which
 combined with :mod:`repro.sim.trace_io` shipping makes cross-run
 regression hunts ("where do these two runs first differ?") a one-liner.
@@ -182,7 +184,7 @@ def first_divergence(
     Compares record by record (time, kind and fields must all match) and
     returns ``(index, record_a, record_b)`` for the first mismatch; a
     record is ``None`` when that trace ended early.  Works across
-    recorder backends and on traces loaded via
+    recorders and on traces loaded via
     :func:`repro.sim.trace_io.read_trace`, so two stored runs can be
     diffed without re-simulating either.
     """

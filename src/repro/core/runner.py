@@ -24,7 +24,7 @@ from repro.gpu.device import GpuDevice
 from repro.gpu.spec import RTX_2080_TI, GpuDeviceSpec
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import MetricsCollector
-from repro.sim.trace import TRACE_BACKENDS, TraceRecorder, make_trace_recorder
+from repro.sim.trace_columnar import ColumnarTrace
 
 
 def validate_horizon(duration: float, warmup: float) -> None:
@@ -56,13 +56,10 @@ class RunConfig:
         Allocation model constants.
     record_trace:
         Whether to keep a full execution trace (large runs disable it).
-    trace_backend:
-        Recorder implementation when tracing
-        (:data:`repro.sim.trace.TRACE_BACKENDS`): ``"list"`` (default)
-        keeps one dataclass per event, ``"columnar"`` the array-backed
-        :class:`~repro.sim.trace_columnar.ColumnarTrace` — same query
-        results, a fraction of the memory, serialisable via
-        :mod:`repro.sim.trace_io`.
+        The run records into a
+        :class:`~repro.sim.trace_columnar.ColumnarTrace`, serialisable
+        via :mod:`repro.sim.trace_io`; an emit site that breaks its
+        kind's layout fails the run with a ``ValueError``.
     work_jitter_cv / seed:
         Per-stage execution-time jitter (see
         :class:`repro.core.scheduler.SchedulerBase`) and its seed.
@@ -86,7 +83,6 @@ class RunConfig:
     spec: GpuDeviceSpec = RTX_2080_TI
     allocation: AllocationParams = field(default_factory=AllocationParams)
     record_trace: bool = False
-    trace_backend: str = "list"
     work_jitter_cv: float = 0.0
     seed: int = 0
     arrival: Union[str, "ArrivalProcess"] = ""
@@ -94,11 +90,6 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         validate_horizon(self.duration, self.warmup)
-        if self.trace_backend not in TRACE_BACKENDS:
-            raise ValueError(
-                f"trace_backend must be one of {TRACE_BACKENDS}, got "
-                f"{self.trace_backend!r}"
-            )
 
 
 @dataclass
@@ -118,8 +109,8 @@ class RunResult:
     utilization: float
     mean_pressure: float
     metrics: MetricsCollector
-    #: Either recorder backend (same query API); see RunConfig.trace_backend.
-    trace: Optional[TraceRecorder]
+    #: The run's trace when ``RunConfig.record_trace`` is set.
+    trace: Optional[ColumnarTrace]
     goodput: float = 0.0
     rejection_rate: float = 0.0
     rejected: int = 0
@@ -163,11 +154,7 @@ def run_simulation(task_set: TaskSet, config: RunConfig) -> RunResult:
     """Execute one run and return its steady-state metrics."""
     task_set.validate()
     engine = SimulationEngine()
-    trace = (
-        make_trace_recorder(config.trace_backend)
-        if config.record_trace
-        else None
-    )
+    trace = ColumnarTrace() if config.record_trace else None
     if issubclass(config.scheduler, NaiveScheduler):
         contexts = build_naive_contexts(config.pool, config.spec)
     elif issubclass(config.scheduler, SequentialScheduler):

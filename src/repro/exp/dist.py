@@ -203,7 +203,8 @@ def trace_key(point: GridPoint) -> str:
 
 
 def save_point_trace(run: RunStore, point: GridPoint, trace) -> None:
-    """Ship one point's trace (either recorder backend) into the store.
+    """Ship one point's trace (see :func:`repro.sim.trace_io.trace_to_bytes`)
+    into the store.
 
     Atomic like the cache checkpoints: readers see a complete trace or
     none.  Points are pure functions of their coordinates and the trace

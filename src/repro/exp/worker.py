@@ -113,16 +113,12 @@ class PointResult:
         )
 
 
-def run_point(
-    point: GridPoint,
-    trace_store=None,
-    trace_backend: str = "columnar",
-) -> PointResult:
+def run_point(point: GridPoint, trace_store=None) -> PointResult:
     """Evaluate one grid point (process-safe, top-level, deterministic).
 
     With ``trace_store`` (anything :data:`repro.exp.dist.RunStore`
-    accepts) the run records a trace on the ``trace_backend`` recorder
-    and ships it to the store under the point's config hash (see
+    accepts) the run records a columnar trace and ships it to the store
+    under the point's config hash in trace format v1 (see
     :func:`repro.exp.dist.save_point_trace`) before returning; the
     returned :class:`PointResult` stays slim either way.  Worker-pool
     friendly: ``functools.partial(run_point, trace_store=...)`` pickles.
@@ -169,7 +165,6 @@ def run_point(
             arrival=point.arrival,
             admission=point.admission,
             record_trace=trace_store is not None,
-            trace_backend=trace_backend,
         ),
     )
     if trace_store is not None:

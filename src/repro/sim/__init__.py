@@ -10,9 +10,10 @@ SimulationEngine
 Event
     Handle returned by :meth:`SimulationEngine.schedule`; cancel it with
     :meth:`SimulationEngine.cancel`.
-TraceRecorder / ColumnarTrace
-    Structured execution trace: the list-backed recorder and its
-    array-backed columnar drop-in (``make_trace_recorder`` selects one).
+ColumnarTrace / TraceRecorder
+    Structured execution trace: the array-backed columnar recorder every
+    traced run records into, and the plain list recorder it is checked
+    against.
 write_trace / read_trace
     Compact on-disk trace format (:mod:`repro.sim.trace_io`).
 MetricsCollector / JobRecord
@@ -24,12 +25,7 @@ MetricsCollector / JobRecord
 from repro.sim.clock import TIME_EPS, times_close
 from repro.sim.engine import Event, SimulationEngine, SimulationError
 from repro.sim.metrics import JobRecord, MetricsCollector, StageRecord
-from repro.sim.trace import (
-    TRACE_BACKENDS,
-    TraceRecord,
-    TraceRecorder,
-    make_trace_recorder,
-)
+from repro.sim.trace import TraceRecord, TraceRecorder
 from repro.sim.trace_columnar import ColumnarTrace
 from repro.sim.trace_io import (
     TRACE_FORMAT_VERSION,
@@ -53,8 +49,6 @@ __all__ = [
     "TraceRecord",
     "TraceRecorder",
     "ColumnarTrace",
-    "TRACE_BACKENDS",
-    "make_trace_recorder",
     "TRACE_FORMAT_VERSION",
     "trace_to_bytes",
     "trace_from_bytes",

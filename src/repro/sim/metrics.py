@@ -26,13 +26,15 @@ All are defined once, on :class:`MetricsCollector`, from its per-job
 scalar record a run reports.  The collector is fed in one of two ways:
 live, by the scheduler during a run, or after the fact by
 :func:`metrics_from_trace`, which replays a trace's ``job_*`` records as
-the same calls.  From a :class:`~repro.sim.trace_columnar.ColumnarTrace`
-(what run stores ship) the replay reads those records' rows straight
-from the five ``job_*`` kinds' columns and materialises no record; any
-other trace is scanned record by record.  A trace does not say whether a
-release was admitted; the replay reads it from record adjacency: the
-scheduler emits a release's ``job_skip``/``job_reject`` as the very next
-record, so a release followed by anything else was admitted.
+the same calls.  The replay reads those records' rows straight from the
+five ``job_*`` kinds' columns of a
+:class:`~repro.sim.trace_columnar.ColumnarTrace` (what every traced run
+records and run stores ship) and materialises no record; any other
+iterable of trace records is columnarised first.  A trace does not say
+whether a release was admitted; the replay reads it from record
+adjacency: the scheduler emits a release's ``job_skip``/``job_reject``
+as the very next record, so a release followed by anything else was
+admitted.
 Stage-level records are kept as well so the scheduler's virtual-deadline
 behaviour can be analysed.
 """
@@ -459,28 +461,17 @@ class MetricsCollector:
         }
 
 
-def _job_rows(records: Iterable) -> Iterable[tuple]:
-    """``(index, kind, time, task, job, deadline)`` of each ``job_*``
-    record, in record order; ``None`` for an absent field."""
-    if isinstance(records, ColumnarTrace):
-        return records.rows(_JOB_KINDS, _JOB_FIELDS)
-    return (
-        (index, record.kind, record.time)
-        + tuple(map(record.get, _JOB_FIELDS))
-        for index, record in enumerate(records)
-        if record.kind in _JOB_KINDS
-    )
-
-
 def metrics_from_trace(
     records: Iterable, warmup: float, now: float
 ) -> Dict[str, object]:
     """Replay a trace's ``job_*`` records into a fresh collector.
 
-    Takes either recorder backend, or records decoded straight off a
-    :mod:`repro.sim.trace_io` file, in time order; other kinds are not
-    read (see the module docstring's adjacency rule).  Each record
-    becomes the collector call the scheduler made live, so the result is
+    Takes a :class:`~repro.sim.trace_columnar.ColumnarTrace` (a run's own
+    trace, or one decoded off a :mod:`repro.sim.trace_io` file) or any
+    iterable of trace records in time order, which is columnarised first
+    (so it must keep one layout per kind); other kinds are not read (see
+    the module docstring's adjacency rule).  Each record becomes the
+    collector call the scheduler made live, so the result is
     :meth:`MetricsCollector.summary` of the original run.  A ``job_skip``
     makes no call: the job stays released and unfinished, a miss once its
     deadline passes.  Malformed histories fail loudly: a ``job_release``
@@ -488,12 +479,16 @@ def metrics_from_trace(
     very next record after its release, and whatever the collector itself
     refuses (unknown or twice-released jobs, time running backwards).
     """
+    if not isinstance(records, ColumnarTrace):
+        records = ColumnarTrace.from_records(records)
     metrics = MetricsCollector(warmup=warmup)
     depth = 0
     #: ``(index, task, job, release time)`` of the release awaiting its
     #: outcome.
     pending: Optional[Tuple[int, str, int, float]] = None
-    for index, kind, time, task, job, deadline in _job_rows(records):
+    for index, kind, time, task, job, deadline in records.rows(
+        _JOB_KINDS, _JOB_FIELDS
+    ):
         if kind == JOB_SKIP or kind == JOB_REJECT:
             if pending is None or pending[:3] != (index - 1, task, job):
                 raise ValueError(

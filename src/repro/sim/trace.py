@@ -8,38 +8,18 @@ producing the per-run summaries the analysis package renders.
 
 A recorder keeps every record it is given; there is no switch to disable
 or filter it.  An untraced run simply has no recorder: ``run_simulation``
-builds one only when ``RunConfig.record_trace`` is set.
+builds one only when ``RunConfig.record_trace`` is set, and it is always
+the columnar :class:`~repro.sim.trace_columnar.ColumnarTrace`, which
+keeps one layout per kind (the fields and value types of the kind's
+first record, every later record the same) in typed columns.
+:class:`TraceRecorder` here is the plain list of records that recorder
+is checked against: it stores any fields as given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
-
-#: Selectable recorder implementations (``RunConfig.trace_backend``):
-#: ``"list"`` is this module's one-dataclass-per-event recorder,
-#: ``"columnar"`` the array-backed struct-of-arrays recorder in
-#: :mod:`repro.sim.trace_columnar` (same API, ~10x less memory per
-#: event, identical query results record-for-record).
-TRACE_BACKENDS = ("list", "columnar")
-
-
-def make_trace_recorder(backend: str = "list"):
-    """Build a trace recorder of the selected backend.
-
-    Both backends are stdlib-only and expose the same recording/query
-    API, so every trace consumer works unchanged against either.
-    """
-    if backend == "list":
-        return TraceRecorder()
-    if backend == "columnar":
-        # late import: trace_columnar imports TraceRecord from here
-        from repro.sim.trace_columnar import ColumnarTrace
-
-        return ColumnarTrace()
-    raise ValueError(
-        f"trace_backend must be one of {TRACE_BACKENDS}, got {backend!r}"
-    )
 
 
 @dataclass(frozen=True)

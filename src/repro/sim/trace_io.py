@@ -19,12 +19,12 @@ The JSON header carries everything needed to interpret the payload:
 record count, the interned kind-name table, the shared string-intern
 table, and per kind group the row count plus each column's
 ``{"name", "code"}`` (codes as in :mod:`repro.sim.trace_columnar`:
-``f`` float64, ``i`` int64, ``s`` string-id int32, ``o`` JSON-encoded
-object list).  Payload blobs follow in a fixed, fully deterministic
-order — times, kind ids, row offsets, then per group (in kind-id
-order): global row indices, then per column (in first-seen field
-order): the presence bytes and the value blob.  All integers and
-floats are little-endian regardless of host byte order.
+``f`` float64, ``i`` int64, ``s`` string-id int32).  Payload blobs
+follow in a fixed, fully deterministic order — times, kind ids, row
+offsets, then per group (in kind-id order): global row indices, then per
+column (in field order): a presence blob of one byte per row and the
+value blob.  All integers and floats are little-endian regardless of
+host byte order.
 
 Compatibility rules
 -------------------
@@ -35,15 +35,25 @@ Compatibility rules
   yields identical bytes (the round-trip tests pin
   ``serialise(deserialise(b)) == b``), so traces can be content-hashed
   and deduplicated by the storage layer.
-* ``o`` columns hold arbitrary payload objects and are JSON-encoded;
-  anything a scheduler records in a trace field must therefore be
-  JSON-serialisable (every current trace kind records only floats,
-  ints and strings, which never hit the ``o`` path).
+* The recorder keeps one layout per kind, so every field is present in
+  every row: the writer emits an all-ones presence blob per column.
+  Version 1 also defined a ``0`` (absent field) presence byte and an
+  ``o`` column of JSON-encoded objects; the reader refuses both with a
+  ``ValueError``.  No shipped trace holds either: every emit site records
+  exactly its kind's fields as floats, ints and strings, and only
+  free-form test records ever took the recorder path that wrote them.
+* The reader refuses, with a ``ValueError``, any payload that
+  contradicts its own header or the recorder's invariants: a header
+  that is not the four-key object, bytes after the last blob, kind ids
+  out of range, group indices that are not strictly increasing, in range
+  and all of their own kind, row offsets that do not match them, string
+  ids outside the table, and times that are not finite or run backwards.
+  Replay would otherwise return wrong numbers without raising.
 * How a recorder buffers records does not reach the format: the
   columnar recorder columnarises records a chunk at a time, and
   :func:`trace_to_bytes` flushes its pending chunk first, so the bytes
-  are those of recording every record one at a time (a test pins the
-  sha256 of a shipped multi-chunk trace).
+  do not depend on where chunks end (a test pins the sha256 of a
+  shipped multi-chunk trace).
 
 Shipping
 --------
@@ -57,50 +67,49 @@ directories.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import sys
 from array import array
+from itertools import count, repeat
+from operator import itemgetter, le, lt
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.sim.trace_columnar import (
-    FLOAT,
-    INT,
-    OBJECT,
+    _TYPECODES,
     STR,
     ColumnarTrace,
-    _Column,
     _KindGroup,
-    _TYPECODES,
 )
 
 MAGIC = b"RPTC"
 TRACE_FORMAT_VERSION = 1
 
 _SWAP = sys.byteorder == "big"
+_HEADER_KEYS = {"records", "kinds", "strings", "groups"}
 
 
-def _blob(values) -> bytes:
-    """Little-endian bytes of a stdlib array (or JSON for object lists)."""
-    if isinstance(values, array):
-        if _SWAP:  # pragma: no cover - big-endian hosts only
-            values = array(values.typecode, values)
-            values.byteswap()
-        return values.tobytes()
-    return json.dumps(list(values), sort_keys=True).encode()
+def _blob(values: array) -> bytes:
+    """Little-endian bytes of a stdlib array."""
+    if _SWAP:  # pragma: no cover - big-endian hosts only
+        values = array(values.typecode, values)
+        values.byteswap()
+    return values.tobytes()
 
 
-def _unblob(code_or_typecode: str, data: bytes):
-    """Inverse of :func:`_blob` for one typed column."""
-    values = array(code_or_typecode)
-    values.frombytes(data)
+def _unblob(typecode: str, data: bytes) -> array:
+    """Inverse of :func:`_blob`."""
+    values = array(typecode)
+    values.frombytes(data)  # ValueError on a length that is not whole items
     if _SWAP:  # pragma: no cover - big-endian hosts only
         values.byteswap()
     return values
 
 
 def trace_to_bytes(trace) -> bytes:
-    """Serialise a trace (either recorder backend) to format v1 bytes."""
+    """Serialise a trace (a :class:`ColumnarTrace` or any iterable of
+    trace records) to format v1 bytes."""
     if not isinstance(trace, ColumnarTrace):
         trace = ColumnarTrace.from_records(trace)
     trace._flush()
@@ -110,10 +119,10 @@ def trace_to_bytes(trace) -> bytes:
         "strings": trace._strings,
         "groups": [
             {
-                "rows": group.rows,
+                "rows": len(group.indices),
                 "columns": [
-                    {"name": name, "code": column.code}
-                    for name, column in group.columns.items()
+                    {"name": name, "code": code}
+                    for name, code in group.codes.items()
                 ],
             }
             for group in trace._groups
@@ -126,9 +135,10 @@ def trace_to_bytes(trace) -> bytes:
     ]
     for group in trace._groups:
         blobs.append(_blob(group.indices))
+        present = b"\x01" * len(group.indices)
         for column in group.columns.values():
-            blobs.append(_blob(column.present))
-            blobs.append(_blob(column.values))
+            blobs.append(present)
+            blobs.append(_blob(column))
     encoded_header = json.dumps(
         header, separators=(",", ":"), ensure_ascii=False
     ).encode()
@@ -144,26 +154,87 @@ def trace_to_bytes(trace) -> bytes:
     return b"".join(out)
 
 
+def _gather(values: array, indices: array) -> tuple:
+    """``values`` at each of the (non-empty) ``indices``, in one C-level
+    call."""
+    if len(indices) == 1:
+        return (values[indices[0]],)
+    return itemgetter(*indices)(values)
+
+
+def _is_list_of(value, value_type) -> bool:
+    return isinstance(value, list) and all(
+        map(isinstance, value, repeat(value_type))
+    )
+
+
+def _read_header(data: bytes) -> Tuple[dict, int]:
+    """The JSON header of format v1 ``data``, its shape checked, and the
+    offset of the first payload blob."""
+    if data[:4] != MAGIC:
+        raise ValueError("not a trace file (bad magic)")
+    if len(data) < 10:
+        raise ValueError("truncated trace header")
+    (version,) = struct.unpack_from("<H", data, 4)
+    if version != TRACE_FORMAT_VERSION:
+        raise ValueError(f"unsupported trace format version: {version}")
+    (hlen,) = struct.unpack_from("<I", data, 6)
+    if 10 + hlen > len(data):
+        raise ValueError("truncated trace header")
+    try:
+        header = json.loads(data[10 : 10 + hlen].decode())
+    except ValueError as error:
+        raise ValueError(f"corrupt trace header: {error}") from None
+    if not isinstance(header, dict) or header.keys() != _HEADER_KEYS:
+        raise ValueError(
+            "corrupt trace header: expected an object with the keys "
+            f"{sorted(_HEADER_KEYS)}"
+        )
+    kinds, groups = header["kinds"], header["groups"]
+    if not (
+        type(header["records"]) is int
+        and _is_list_of(kinds, str)
+        and len(set(kinds)) == len(kinds)
+        and _is_list_of(header["strings"], str)
+        and _is_list_of(groups, dict)
+        and len(groups) == len(kinds)
+    ):
+        raise ValueError(
+            "corrupt trace header: expects an int record count, distinct "
+            "kind names, a table of strings and one group object per kind"
+        )
+    for kind, group in zip(kinds, groups):
+        columns = group.get("columns")
+        if not (
+            group.keys() == {"rows", "columns"}
+            and type(group["rows"]) is int
+            and _is_list_of(columns, dict)
+            and all(column.keys() == {"name", "code"} for column in columns)
+            and _is_list_of([column["name"] for column in columns], str)
+            and len({column["name"] for column in columns}) == len(columns)
+        ):
+            raise ValueError(f"corrupt trace header: kind {kind!r}'s group")
+        for column in columns:
+            if column["code"] not in _TYPECODES:
+                raise ValueError(
+                    f"trace kind {kind!r} field {column['name']!r}: column "
+                    f"code {column['code']!r} is not f, i or s (this reader "
+                    "takes no o columns)"
+                )
+    return header, 10 + hlen
+
+
 def trace_from_bytes(data: bytes) -> ColumnarTrace:
     """Deserialise format v1 bytes into a :class:`ColumnarTrace`.
 
     Raises
     ------
     ValueError
-        On a wrong magic, an unsupported version, or a truncated or
-        inconsistent payload.
+        On a wrong magic, an unsupported version, a truncated or corrupt
+        header, or a payload that contradicts its header or the
+        recorder's invariants (see the module docstring).
     """
-    if data[:4] != MAGIC:
-        raise ValueError("not a trace file (bad magic)")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != TRACE_FORMAT_VERSION:
-        raise ValueError(f"unsupported trace format version: {version}")
-    (hlen,) = struct.unpack_from("<I", data, 6)
-    try:
-        header = json.loads(data[10 : 10 + hlen].decode())
-    except ValueError as error:
-        raise ValueError(f"corrupt trace header: {error}") from None
-    cursor = 10 + hlen
+    header, cursor = _read_header(data)
 
     def next_blob() -> bytes:
         nonlocal cursor
@@ -179,53 +250,80 @@ def trace_from_bytes(data: bytes) -> ColumnarTrace:
 
     trace = ColumnarTrace()
     trace._kind_names = list(header["kinds"])
-    trace._kind_lookup = {
-        name: index for index, name in enumerate(trace._kind_names)
-    }
-    trace._strings = list(header["strings"])
-    trace._string_ids = {
-        value: index for index, value in enumerate(trace._strings)
-    }
-    trace._times = _unblob("d", next_blob())
-    trace._kind_ids = _unblob("i", next_blob())
-    trace._rows = _unblob("q", next_blob())
+    trace._kind_lookup = dict(zip(trace._kind_names, count()))
+    strings = trace._strings = list(header["strings"])
+    trace._string_ids = dict(zip(strings, count()))
+    times = trace._times = _unblob("d", next_blob())
+    kind_ids = trace._kind_ids = _unblob("i", next_blob())
+    rows = trace._rows = _unblob("q", next_blob())
     records = header["records"]
-    if not (
-        len(trace._times) == len(trace._kind_ids) == len(trace._rows) == records
-    ):
+    if not len(times) == len(kind_ids) == len(rows) == records:
         raise ValueError("inconsistent trace payload (record counts differ)")
+    if times and not (
+        math.isfinite(times[0])
+        and math.isfinite(times[-1])
+        and all(map(le, times, times[1:]))
+    ):
+        raise ValueError(
+            "inconsistent trace payload (times not finite and non-decreasing)"
+        )
+    if kind_ids and not 0 <= min(kind_ids) <= max(kind_ids) < len(
+        trace._kind_names
+    ):
+        raise ValueError("inconsistent trace payload (kind id out of range)")
     for kind_id, group_header in enumerate(header["groups"]):
-        group = _KindGroup(kind_id)
-        group.rows = group_header["rows"]
-        group.indices = _unblob("q", next_blob())
-        if len(group.indices) != group.rows:
+        kind = trace._kind_names[kind_id]
+        group = _KindGroup(
+            {column["name"]: column["code"] for column in group_header["columns"]}
+        )
+        indices = group.indices = _unblob("q", next_blob())
+        if len(indices) != group_header["rows"]:
             raise ValueError("inconsistent trace payload (group rows differ)")
-        for column_header in group_header["columns"]:
-            code = column_header["code"]
-            if code not in (FLOAT, INT, STR, OBJECT):
-                raise ValueError(f"unknown column code: {code!r}")
-            column = _Column(code)
-            column.present = _unblob("b", next_blob())
-            blob = next_blob()
-            if code == OBJECT:
-                column.values = json.loads(blob.decode())
-            else:
-                column.values = _unblob(_TYPECODES[code], blob)
-            if len(column.present) != group.rows or len(
-                column.values
-            ) != group.rows:
+        if indices and not (
+            0 <= indices[0]
+            and indices[-1] < records
+            and all(map(lt, indices, indices[1:]))
+            and _gather(kind_ids, indices) == (kind_id,) * len(indices)
+        ):
+            raise ValueError(
+                f"inconsistent trace payload (kind {kind!r}'s indices are not "
+                "strictly increasing record indices of that kind)"
+            )
+        if indices and _gather(rows, indices) != tuple(range(len(indices))):
+            raise ValueError(
+                f"inconsistent trace payload (kind {kind!r}'s row offsets)"
+            )
+        present = b"\x01" * len(indices)
+        for name, code in group.codes.items():
+            if next_blob() != present:
+                raise ValueError(
+                    f"trace kind {kind!r} field {name!r}: its presence bytes "
+                    "mark a row absent (this reader takes one layout per "
+                    "kind, every field present)"
+                )
+            column = group.columns[name] = _unblob(_TYPECODES[code], next_blob())
+            if len(column) != len(indices):
                 raise ValueError(
                     "inconsistent trace payload (column rows differ)"
                 )
-            group.columns[column_header["name"]] = column
+            if code == STR and column and not (
+                0 <= min(column) and max(column) < len(strings)
+            ):
+                raise ValueError(
+                    f"inconsistent trace payload (kind {kind!r} field "
+                    f"{name!r} holds a string id outside the table)"
+                )
         trace._groups.append(group)
-    if len(trace._groups) != len(trace._kind_names):
-        raise ValueError("inconsistent trace payload (kind groups differ)")
+    if sum(map(len, (group.indices for group in trace._groups))) != records:
+        raise ValueError("inconsistent trace payload (group rows differ)")
+    if cursor != len(data):
+        raise ValueError("inconsistent trace payload (bytes after the last blob)")
     return trace
 
 
 def write_trace(trace, path: Union[str, Path]) -> Path:
-    """Serialise a trace (either backend) to ``path``; returns the path."""
+    """Serialise a trace (see :func:`trace_to_bytes`) to ``path``; returns
+    the path."""
     path = Path(path)
     path.write_bytes(trace_to_bytes(trace))
     return path

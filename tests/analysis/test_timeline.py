@@ -10,28 +10,30 @@ from repro.analysis.timeline import (
     render_gantt,
     stage_latency_breakdown,
 )
+from repro.core import runner
 from repro.core.context_pool import ContextPoolConfig
 from repro.core.runner import RunConfig, run_simulation
 from repro.gpu.spec import RTX_2080_TI
 from repro.sim.clock import TIME_EPS
 from repro.sim.trace import TraceRecorder
+from repro.sim.trace_columnar import ColumnarTrace
 from repro.workloads.generator import identical_periodic_tasks
 
 
-@pytest.fixture(scope="module", params=["list", "columnar"])
+@pytest.fixture(
+    scope="module", params=[TraceRecorder, ColumnarTrace], ids=["list", "columnar"]
+)
 def traced_run(request):
+    """The run, recorded into each recorder (the list recorder is patched
+    in as the reference)."""
     pool = ContextPoolConfig.from_oversubscription(2, 1.5, RTX_2080_TI)
     tasks = identical_periodic_tasks(6, nominal_sms=pool.sms_per_context)
-    return run_simulation(
-        tasks,
-        RunConfig(
-            pool=pool,
-            duration=1.0,
-            warmup=0.0,
-            record_trace=True,
-            trace_backend=request.param,
-        ),
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "ColumnarTrace", request.param)
+        return run_simulation(
+            tasks,
+            RunConfig(pool=pool, duration=1.0, warmup=0.0, record_trace=True),
+        )
 
 
 class TestExtractSpans:
@@ -198,12 +200,6 @@ class TestFirstDivergence:
         )
         again = run_simulation(
             tasks,
-            RunConfig(
-                pool=pool,
-                duration=1.0,
-                warmup=0.0,
-                record_trace=True,
-                trace_backend="columnar",
-            ),
+            RunConfig(pool=pool, duration=1.0, warmup=0.0, record_trace=True),
         )
         assert first_divergence(traced_run.trace, again.trace) is None

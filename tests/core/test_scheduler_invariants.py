@@ -12,6 +12,8 @@ Three contracts the whole evaluation silently relies on:
   pure function: two runs produce bit-identical metrics.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,18 +84,16 @@ class TestJobConservation:
     @settings(max_examples=5, deadline=None)
     def test_per_task_conservation(self, num_tasks, seed):
         result = run_traced(num_tasks, seed=seed, duration=0.8)
-        trace = result.trace
+        released, finished = Counter(), Counter()
+        for record in result.trace:
+            if record.kind == "job_release":
+                released[record.get("task")] += 1
+            elif record.kind in ("job_complete", "job_skip", "job_shed"):
+                finished[record.get("task")] += 1
         for task_index in range(num_tasks):
             name = f"cam{task_index}"
-            by_task = trace.where(lambda r, n=name: r.get("task") == n)
-            released = sum(1 for r in by_task if r.kind == "job_release")
-            finished = sum(
-                1
-                for r in by_task
-                if r.kind in ("job_complete", "job_skip", "job_shed")
-            )
             # at most one job of each task may still be in flight
-            assert finished <= released <= finished + 1, name
+            assert finished[name] <= released[name] <= finished[name] + 1, name
 
     def test_unfinished_released_jobs_count_as_misses(self):
         # deep overload: skipped jobs must surface as deadline misses

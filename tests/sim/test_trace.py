@@ -1,52 +1,36 @@
-"""Unit tests for the trace recorders (list-backed and columnar)."""
+"""Unit tests for the trace recorders: the columnar recorder every traced
+run records into, and the list recorder it is checked against."""
 
 from array import array
 
 import pytest
 
-from repro.sim.trace import (
-    TRACE_BACKENDS,
-    TraceRecord,
-    TraceRecorder,
-    make_trace_recorder,
-)
+from repro.core import runner
+from repro.sim.trace import TraceRecord, TraceRecorder
 from repro.sim.trace_columnar import ColumnarTrace
-
-#: Every trace kind the simulation stack may emit: the scheduler's five
-#: (documented on :class:`repro.core.scheduler.SchedulerBase`) plus the
-#: device layer's three.
-DOCUMENTED_KINDS = {
-    "job_release",
-    "job_skip",
-    "job_complete",
-    "job_shed",
-    "stage_release",
-    "kernel_start",
-    "kernel_done",
-    "allocation",
-}
+from repro.sim.trace_kinds import TRACE_KINDS
 
 
-@pytest.fixture(params=TRACE_BACKENDS)
+@pytest.fixture(params=[TraceRecorder, ColumnarTrace], ids=["list", "columnar"])
 def backend(request):
     return request.param
 
 
 class TestRecording:
     def test_record_and_len(self, backend):
-        trace = make_trace_recorder(backend)
+        trace = backend()
         trace.record(1.0, "alpha", x=1)
         trace.record(2.0, "beta")
         assert len(trace) == 2
 
     def test_iteration_preserves_order(self, backend):
-        trace = make_trace_recorder(backend)
+        trace = backend()
         for index in range(5):
             trace.record(float(index), "tick", i=index)
         assert [r.get("i") for r in trace] == [0, 1, 2, 3, 4]
 
     def test_iteration_yields_trace_records(self, backend):
-        trace = make_trace_recorder(backend)
+        trace = backend()
         trace.record(1.5, "alpha", task="t0", job=3)
         (record,) = list(trace)
         assert isinstance(record, TraceRecord)
@@ -58,7 +42,7 @@ class TestRecording:
 
 class TestQueries:
     def make_trace(self, backend):
-        trace = make_trace_recorder(backend)
+        trace = backend()
         trace.record(1.0, "start", job=1)
         trace.record(2.0, "finish", job=1)
         trace.record(3.0, "start", job=2)
@@ -91,19 +75,7 @@ class TestQueries:
         assert trace.last("nonexistent") is None
 
     def test_last_empty(self, backend):
-        assert make_trace_recorder(backend).last() is None
-
-
-class TestBackendFactory:
-    def test_default_is_list_backed(self):
-        assert isinstance(make_trace_recorder("list"), TraceRecorder)
-
-    def test_columnar(self):
-        assert isinstance(make_trace_recorder("columnar"), ColumnarTrace)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="trace_backend"):
-            make_trace_recorder("parquet")
+        assert backend().last() is None
 
 
 class TestColumnarInternals:
@@ -115,31 +87,8 @@ class TestColumnarInternals:
         for trace in (listed, columnar):
             trace.record(0.5, "kernel_start", task="t0", job=0, stage=1)
             trace.record(0.75, "kernel_done", task="t0", job=0, stage=1)
-            trace.record(1.0, "job_complete", task="t0", job=0, missed=False)
+            trace.record(1.0, "job_complete", task="t0", job=0, missed=0)
         assert list(columnar) == list(listed)
-
-    def test_heterogeneous_field_sets_per_kind(self):
-        trace = ColumnarTrace()
-        trace.record(1.0, "tick", a=1)
-        trace.record(2.0, "tick", b=2.5)
-        records = list(trace)
-        assert records[0].fields == {"a": 1}
-        assert records[1].fields == {"b": 2.5}
-
-    def test_type_clash_demotes_to_object_column(self):
-        trace = ColumnarTrace()
-        trace.record(1.0, "tick", value=7)
-        trace.record(2.0, "tick", value="seven")
-        trace.record(3.0, "tick", value=7.5)
-        assert [r.get("value") for r in trace] == [7, "seven", 7.5]
-
-    def test_bool_round_trip_preserves_type(self):
-        trace = ColumnarTrace()
-        trace.record(1.0, "job_complete", missed=True)
-        trace.record(2.0, "job_complete", missed=False)
-        values = [r.get("missed") for r in trace]
-        assert values == [True, False]
-        assert all(type(v) is bool for v in values)
 
     def test_times_and_column(self):
         trace = ColumnarTrace()
@@ -158,13 +107,13 @@ class TestColumnarInternals:
         trace = ColumnarTrace()
         trace.record(1.0, "start", job=1, name="a")
         trace.record(2.0, "finish", job=1)
-        trace.record(3.0, "start", job=2)
+        trace.record(3.0, "start", job=2, name="b")
         trace.record(4.0, "other", job=9)
         rows = list(trace.rows(["start", "finish", "absent"], ["job", "name"]))
         assert rows == [
             (0, "start", 1.0, 1, "a"),
             (1, "finish", 2.0, 1, None),
-            (2, "start", 3.0, 2, None),
+            (2, "start", 3.0, 2, "b"),
         ]
         # the same values TraceRecord.get reads off the materialised records
         assert rows == [
@@ -183,9 +132,10 @@ class TestColumnarInternals:
     def test_from_records(self):
         listed = TraceRecorder()
         listed.record(1.0, "start", job=1, name="a")
-        listed.record(2.0, "finish", job=1, ok=True)
+        listed.record(2.0, "finish", job=1, ok=1)
         rebuilt = ColumnarTrace.from_records(listed)
         assert list(rebuilt) == list(listed)
+
 
 
 class TestTraceRecord:
@@ -204,9 +154,11 @@ class TestEmittedKinds:
 
     _trace_cache = {}
 
-    def run_traced(self, num_tasks, num_contexts=1, trace_backend="list"):
-        # one simulation per parameter set, shared across the test class
-        key = (num_tasks, num_contexts, trace_backend)
+    def run_traced(self, num_tasks, recorder, num_contexts=1):
+        """One simulation per parameter set, shared across the test class,
+        recorded into ``recorder`` (the list recorder is patched in as the
+        reference)."""
+        key = (num_tasks, num_contexts, recorder)
         if key in self._trace_cache:
             return self._trace_cache[key]
         from repro.core.context_pool import ContextPoolConfig
@@ -220,35 +172,36 @@ class TestEmittedKinds:
         tasks = identical_periodic_tasks(
             num_tasks, nominal_sms=pool.sms_per_context
         )
-        result = run_simulation(
-            tasks,
-            RunConfig(
-                pool=pool,
-                duration=1.0,
-                warmup=0.2,
-                record_trace=True,
-                trace_backend=trace_backend,
-            ),
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runner, "ColumnarTrace", recorder)
+            result = run_simulation(
+                tasks,
+                RunConfig(pool=pool, duration=1.0, warmup=0.2, record_trace=True),
+            )
+        assert type(result.trace) is recorder
         self._trace_cache[key] = result.trace
         return result.trace
 
     def test_all_emitted_kinds_are_documented(self, backend):
         # one heavily overloaded single context: releases, stages,
         # completions and source-dropped (skipped) jobs all occur
-        trace = self.run_traced(num_tasks=30, trace_backend=backend)
+        trace = self.run_traced(30, backend)
         emitted = set(trace.kinds())
-        assert emitted <= DOCUMENTED_KINDS, emitted - DOCUMENTED_KINDS
+        assert emitted <= TRACE_KINDS, emitted - TRACE_KINDS
 
     def test_overload_emits_job_skip(self, backend):
-        trace = self.run_traced(num_tasks=30, trace_backend=backend)
+        trace = self.run_traced(30, backend)
         assert trace.of_kind("job_skip"), "overload should drop releases"
 
     def test_backends_record_identical_runs(self):
-        listed = self.run_traced(num_tasks=30, trace_backend="list")
-        columnar = self.run_traced(num_tasks=30, trace_backend="columnar")
+        listed = self.run_traced(30, TraceRecorder)
+        columnar = self.run_traced(30, ColumnarTrace)
         assert list(columnar) == list(listed)
         assert columnar.kinds() == listed.kinds()
+        # values come back with the types the emit sites recorded
+        assert [
+            tuple(map(type, record.fields.values())) for record in columnar
+        ] == [tuple(map(type, record.fields.values())) for record in listed]
 
     def test_docstring_documents_every_scheduler_kind(self):
         from repro.core.scheduler import SchedulerBase

@@ -1,13 +1,19 @@
-"""Round-trip and error-path tests for the on-disk trace format."""
+"""Round-trip and error-path tests for the on-disk trace format, and for
+the chunked recording that feeds it."""
 
 import hashlib
+import json
+import math
 import struct
+from array import array
 
 import pytest
 
+from repro.core import runner
 from repro.core.context_pool import ContextPoolConfig
 from repro.core.runner import RunConfig, run_simulation
 from repro.gpu.spec import RTX_2080_TI
+from repro.sim.metrics import metrics_from_trace
 from repro.sim.trace import TraceRecord, TraceRecorder
 from repro.sim.trace_columnar import CHUNK_RECORDS, ColumnarTrace
 from repro.sim.trace_io import (
@@ -20,24 +26,27 @@ from repro.sim.trace_io import (
 )
 
 
-def traced_run(seed=0, trace_backend="columnar"):
-    """A short overloaded run that exercises every trace kind."""
+def traced_run(seed=0, recorder=ColumnarTrace):
+    """A short overloaded run that exercises every trace kind, recorded
+    into ``recorder`` (the list recorder is patched in as the reference)."""
     pool = ContextPoolConfig.from_oversubscription(2, 1.0, RTX_2080_TI)
     from repro.workloads.generator import identical_periodic_tasks
 
     tasks = identical_periodic_tasks(12, nominal_sms=pool.sms_per_context)
-    result = run_simulation(
-        tasks,
-        RunConfig(
-            pool=pool,
-            duration=0.5,
-            warmup=0.1,
-            record_trace=True,
-            trace_backend=trace_backend,
-            work_jitter_cv=0.1,
-            seed=seed,
-        ),
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "ColumnarTrace", recorder)
+        result = run_simulation(
+            tasks,
+            RunConfig(
+                pool=pool,
+                duration=0.5,
+                warmup=0.1,
+                record_trace=True,
+                work_jitter_cv=0.1,
+                seed=seed,
+            ),
+        )
+    assert type(result.trace) is recorder
     return result.trace
 
 
@@ -45,7 +54,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_simulation_trace_round_trips(self, seed):
         trace = traced_run(seed=seed)
-        listed = traced_run(seed=seed, trace_backend="list")
+        listed = traced_run(seed=seed, recorder=TraceRecorder)
         # both recorders observe the same run identically: records,
         # kind histogram and of_kind query results all agree
         assert list(trace) == list(listed)
@@ -60,8 +69,8 @@ class TestRoundTrip:
         assert trace_to_bytes(rebuilt) == data
 
     def test_list_backend_serialises_identically(self):
-        listed = traced_run(trace_backend="list")
-        columnar = traced_run(trace_backend="columnar")
+        listed = traced_run(recorder=TraceRecorder)
+        columnar = traced_run()
         assert trace_to_bytes(listed) == trace_to_bytes(columnar)
 
     def test_empty_trace_round_trips(self):
@@ -70,18 +79,10 @@ class TestRoundTrip:
         assert len(rebuilt) == 0
         assert trace_to_bytes(rebuilt) == data
 
-    def test_object_column_round_trips(self):
-        trace = ColumnarTrace()
-        trace.record(1.0, "tick", value=1)
-        trace.record(2.0, "tick", value="mixed")
-        trace.record(3.0, "tick", flag=True)
-        rebuilt = trace_from_bytes(trace_to_bytes(trace))
-        assert list(rebuilt) == list(trace)
-
     def test_file_round_trip(self, tmp_path):
         trace = TraceRecorder()
         trace.record(0.25, "job_release", task="t0", job=0, deadline=0.5)
-        trace.record(0.5, "job_complete", task="t0", job=0, missed=False)
+        trace.record(0.5, "job_complete", task="t0", job=0, missed=0)
         path = write_trace(trace, tmp_path / "point.trace")
         rebuilt = read_trace(path)
         assert list(rebuilt) == list(trace)
@@ -121,6 +122,143 @@ class TestErrorPaths:
         corrupted = data[:10] + b"\xff" * hlen + data[10 + hlen :]
         with pytest.raises(ValueError, match="header"):
             trace_from_bytes(corrupted)
+
+
+def split(data):
+    """The JSON header and the payload blobs of format v1 ``data``."""
+    (hlen,) = struct.unpack_from("<I", data, 6)
+    header = json.loads(data[10 : 10 + hlen])
+    blobs, cursor = [], 10 + hlen
+    while cursor < len(data):
+        (length,) = struct.unpack_from("<Q", data, cursor)
+        blobs.append(data[cursor + 8 : cursor + 8 + length])
+        cursor += 8 + length
+    return header, blobs
+
+
+def join(header, blobs):
+    """Format v1 bytes of a header and payload blobs (the inverse of
+    :func:`split`)."""
+    encoded = json.dumps(header, separators=(",", ":")).encode()
+    parts = [MAGIC, struct.pack("<HI", TRACE_FORMAT_VERSION, len(encoded)), encoded]
+    for blob in blobs:
+        parts += [struct.pack("<Q", len(blob)), blob]
+    return b"".join(parts)
+
+
+def job_trace_bytes():
+    """Two jobs of one task, each released and completed: 4 records.
+
+    Blobs: 0 times, 1 kind ids, 2 row offsets; ``job_release``: 3 indices,
+    then presence and values of 4/5 ``task``, 6/7 ``job``, 8/9
+    ``deadline``; ``job_complete``: 10 indices, 11/12 ``task``, 13/14
+    ``job``.
+    """
+    trace = ColumnarTrace()
+    trace.record(0.0, "job_release", task="t0", job=0, deadline=0.5)
+    trace.record(0.1, "job_release", task="t0", job=1, deadline=0.6)
+    trace.record(0.2, "job_complete", task="t0", job=0)
+    trace.record(0.3, "job_complete", task="t0", job=1)
+    return trace_to_bytes(trace)
+
+
+def with_blob(index, values):
+    """:func:`job_trace_bytes` with blob ``index`` replaced by ``values``."""
+    header, blobs = split(job_trace_bytes())
+    blobs[index] = values if isinstance(values, bytes) else values.tobytes()
+    return join(header, blobs)
+
+
+class TestCorruptPayloads:
+    """A payload that contradicts its own header, or the recorder's
+    invariants, is refused at load: replay of it would return wrong
+    numbers without raising."""
+
+    def test_parts_rejoin_to_a_payload_that_replays(self):
+        data = job_trace_bytes()
+        assert join(*split(data)) == data
+        summary = metrics_from_trace(trace_from_bytes(data), 0.0, 1.0)
+        assert (summary["completed"], summary["dmr"]) == (2, 0.0)
+
+    def test_kind_id_out_of_range(self):
+        data = with_blob(1, array("i", [0, 0, 1, 7]))
+        with pytest.raises(ValueError, match="kind id out of range"):
+            trace_from_bytes(data)
+
+    def test_indices_of_another_kind(self):
+        data = with_blob(3, array("q", [2, 3]))
+        with pytest.raises(ValueError, match="'job_release''s indices"):
+            trace_from_bytes(data)
+
+    def test_indices_out_of_order(self):
+        data = with_blob(3, array("q", [1, 0]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            trace_from_bytes(data)
+
+    def test_indices_out_of_range(self):
+        data = with_blob(10, array("q", [2, 4]))
+        with pytest.raises(ValueError, match="'job_complete''s indices"):
+            trace_from_bytes(data)
+
+    def test_row_offsets_that_do_not_match(self):
+        data = with_blob(2, array("q", [1, 0, 0, 1]))
+        with pytest.raises(ValueError, match="row offsets"):
+            trace_from_bytes(data)
+
+    @pytest.mark.parametrize("string_id", [1, -1])
+    def test_string_id_outside_the_table(self, string_id):
+        data = with_blob(5, array("i", [0, string_id]))
+        with pytest.raises(ValueError, match="string id outside the table"):
+            trace_from_bytes(data)
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            [math.nan, 0.1, 0.2, 0.3],
+            [0.0, 0.1, math.nan, 0.3],
+            [0.0, 0.1, 0.2, math.inf],
+            [0.0, 0.2, 0.1, 0.3],
+        ],
+        ids=["nan-first", "nan-inside", "inf-last", "backwards"],
+    )
+    def test_times_not_finite_and_non_decreasing(self, times):
+        data = with_blob(0, array("d", times))
+        with pytest.raises(ValueError, match="finite and non-decreasing"):
+            trace_from_bytes(data)
+
+    def test_absent_field_byte(self):
+        data = with_blob(13, b"\x01\x00")
+        with pytest.raises(ValueError, match="field 'job': its presence bytes mark a row absent"):
+            trace_from_bytes(data)
+
+    def test_object_column(self):
+        header, blobs = split(job_trace_bytes())
+        header["groups"][1]["columns"][1]["code"] = "o"
+        blobs[14] = b"[0,1]"
+        with pytest.raises(ValueError, match="code 'o'"):
+            trace_from_bytes(join(header, blobs))
+
+    def test_bytes_after_the_last_blob(self):
+        with pytest.raises(ValueError, match="bytes after the last blob"):
+            trace_from_bytes(job_trace_bytes() + b"\x00")
+
+    @pytest.mark.parametrize(
+        "header", [{}, [], {"records": 4}], ids=["empty", "list", "one-key"]
+    )
+    def test_header_without_its_four_keys(self, header):
+        _, blobs = split(job_trace_bytes())
+        with pytest.raises(ValueError, match="corrupt trace header"):
+            trace_from_bytes(join(header, blobs))
+
+    def test_header_with_a_malformed_table(self):
+        header, blobs = split(job_trace_bytes())
+        header["strings"] = {"t0": 0}
+        with pytest.raises(ValueError, match="corrupt trace header"):
+            trace_from_bytes(join(header, blobs))
+
+    def test_input_shorter_than_the_fixed_header(self):
+        with pytest.raises(ValueError, match="truncated trace header"):
+            trace_from_bytes(job_trace_bytes()[:5])
 
 
 #: sha256 of the format v1 bytes the traced point below ships.  It must
@@ -165,11 +303,11 @@ def one_at_a_time(records):
     return trace
 
 
-def mixed_records():
-    """One chunk of regular rows holding a missing field, an int/float
-    clash and a bool, each in a different kind."""
+def mixed_records(steps=60):
+    """Records of three kinds interleaved, each kind keeping one layout: a
+    job release, its stage and an allocation per step."""
     records = []
-    for index in range(60):
+    for index in range(steps):
         now = index * 0.01
         task = f"cam{index % 3}"
         release = {"task": task, "job": index, "deadline": now + 0.1}
@@ -179,13 +317,6 @@ def mixed_records():
         records.append(
             TraceRecord(now, "allocation", {"pressure": 1.0, "resident": index})
         )
-    # job 10's stage lacks its context, allocation 20 carries an int
-    # pressure, job 30's release a bool field no other release has
-    records[31] = TraceRecord(0.1, "stage_release", {"stage": "cam1/j10/s0"})
-    records[62] = TraceRecord(0.2, "allocation", {"pressure": 2, "resident": 20})
-    records[90] = TraceRecord(
-        0.3, "job_release", {"task": "cam0", "job": 30, "deadline": 0.4, "late": True}
-    )
     return records
 
 
@@ -211,12 +342,9 @@ class TestChunkedRecording:
         single = one_at_a_time(records)
         assert trace_to_bytes(chunked) == trace_to_bytes(single)
         assert list(chunked) == list(single) == records
-        assert chunked.of_kind("job_release")[30].get("late") is True
-        assert chunked.of_kind("stage_release")[10].fields == {
-            "stage": "cam1/j10/s0"
-        }
-        clash = chunked.of_kind("allocation")[20].get("pressure")
-        assert clash == 2 and type(clash) is int
+        # a layout break refuses both ways alike (TestLayoutRefusals)
+        records[31] = TraceRecord(0.1, "stage_release", {"stage": "cam1/j10/s0"})
+        assert "lacks field 'context'" in refusal(records)
 
     def test_records_wait_for_a_read(self):
         trace = ColumnarTrace()
@@ -226,3 +354,112 @@ class TestChunkedRecording:
         assert len(trace) == CHUNK_RECORDS + 3
         assert not trace._pending
         assert trace.last().get("i") == CHUNK_RECORDS + 2
+
+
+def refusal(records):
+    """The ``ValueError`` message recording ``records`` raises, which must be
+    the same whether they are columnarised as one chunk or one at a time."""
+    messages = []
+    for record_one_at_a_time in (False, True):
+        with pytest.raises(ValueError) as raised:
+            if record_one_at_a_time:
+                one_at_a_time(records)
+            else:
+                len(ColumnarTrace.from_records(records))
+        messages.append(str(raised.value))
+    chunked, single = messages
+    assert chunked == single
+    return chunked
+
+
+def with_record(index, time, kind, **fields):
+    """:func:`mixed_records` with record ``index`` replaced."""
+    records = mixed_records()
+    records[index] = TraceRecord(time, kind, fields)
+    return records
+
+
+class TestLayoutRefusals:
+    """A kind's first record fixes its fields and their types; a record
+    that departs from that layout fails the flush, naming kind and field,
+    however the records are chunked."""
+
+    def test_missing_field_refused(self):
+        message = refusal(with_record(31, 0.1, "stage_release", stage="cam1/j10/s0"))
+        assert message == (
+            "trace kind 'stage_release': a record lacks field 'context'"
+        )
+
+    def test_extra_field_refused(self):
+        message = refusal(
+            with_record(
+                90, 0.3, "job_release", task="cam0", job=30, deadline=0.4, late=1
+            )
+        )
+        assert message == (
+            "trace kind 'job_release': a record has field 'late', which the "
+            "kind's first record lacks"
+        )
+
+    def test_type_change_refused(self):
+        message = refusal(with_record(62, 0.2, "allocation", pressure=2, resident=20))
+        assert message == (
+            "trace kind 'allocation' field 'pressure': int value in its float "
+            "column"
+        )
+
+    def test_bool_refused(self):
+        # a bool is an int subclass, but it would read back as 0/1
+        message = refusal(
+            with_record(60, 0.2, "job_release", task="cam2", job=True, deadline=0.3)
+        )
+        assert message == (
+            "trace kind 'job_release' field 'job': bool value in its int column"
+        )
+        first = refusal([TraceRecord(1.0, "job_complete", {"missed": True})])
+        assert first.startswith(
+            "trace kind 'job_complete' field 'missed': bool value;"
+        )
+
+    def test_object_refused(self):
+        message = refusal(
+            with_record(3, 0.01, "job_release", task=None, job=1, deadline=0.11)
+        )
+        assert message == (
+            "trace kind 'job_release' field 'task': NoneType value in its str "
+            "column"
+        )
+        first = refusal([TraceRecord(1.0, "tick", {"value": [1, 2]})])
+        assert first.startswith("trace kind 'tick' field 'value': list value;")
+
+    def test_int_beyond_64_bits_refused(self):
+        message = refusal(
+            with_record(5, 0.01, "allocation", pressure=1.0, resident=2**63)
+        )
+        assert message == (
+            "trace kind 'allocation' field 'resident': int beyond 64 bits"
+        )
+
+    def test_time_not_a_number_refused(self):
+        message = refusal(
+            with_record(4, "soon", "stage_release", stage="cam1/j1/s0", context=1)
+        )
+        assert message == (
+            "trace kind 'stage_release' field 'time': 'soon' is not a number"
+        )
+
+    def test_refused_chunk_leaves_the_trace_as_it_was(self):
+        records = mixed_records()
+        trace = ColumnarTrace.from_records(records)
+        len(trace)  # columnarise the regular records
+        trace.record(1.0, "allocation", pressure=1.0)
+        trace.record(1.0, "fresh_kind", value=1)
+        with pytest.raises(ValueError, match="lacks field 'resident'"):
+            len(trace)
+        assert list(trace) == records
+        assert "fresh_kind" not in trace.kinds()
+
+    def test_refusal_in_a_later_chunk(self):
+        records = mixed_records(CHUNK_RECORDS // 3 + 10)
+        records[-2] = TraceRecord(9.0, "stage_release", {"stage": "late"})
+        assert "lacks field 'context'" in refusal(records)

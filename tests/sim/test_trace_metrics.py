@@ -9,9 +9,9 @@ pin the replay's calls against a collector fed the matching live calls,
 and its refusal of impossible histories.
 
 Every case replays two sources: plain ``TraceRecord`` lists, which the
-replay scans record by record, and columnar traces, whose ``job_*`` rows
-it reads straight from the columns.  Both must give the same summary or
-raise the same error.
+replay columnarises first, and columnar traces built from them, whose
+``job_*`` rows it reads straight from the columns.  Both must give the
+same summary or raise the same error.
 """
 
 import pytest
@@ -47,7 +47,6 @@ def run_traced(num_tasks, **kwargs):
             duration=DURATION,
             warmup=WARMUP,
             record_trace=True,
-            trace_backend="columnar",
             **kwargs,
         ),
     )
