@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.numeric import sum_in_order
 from repro.workloads.scenarios import SweepPoint
 
 
@@ -139,7 +140,7 @@ def utilization_pivot_table(
     return {
         variant: find_utilization_pivot(
             [
-                (utilization, sum(dmrs) / len(dmrs))
+                (utilization, sum_in_order(dmrs) / len(dmrs))
                 for (v, utilization), dmrs in samples.items()
                 if v == variant
             ],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.core.task import TaskSet
 from repro.gpu.spec import GpuDeviceSpec
+from repro.numeric import sum_in_order
 
 
 def taskset_naive_utilization(
@@ -31,7 +32,9 @@ def taskset_naive_utilization(
     demand = 0.0
     for task in task_set:
         service = (
-            sum(stage.composite.time_at(sms_per_context) for stage in task.stages)
+            sum_in_order(
+                stage.composite.time_at(sms_per_context) for stage in task.stages
+            )
             + switch_overhead
         )
         demand += task.fps * service
@@ -45,8 +48,8 @@ def taskset_sgprs_utilization(task_set: TaskSet, spec: GpuDeviceSpec) -> float:
     Each task demands ``fps_i * base_time_i`` single-SM seconds per
     second against the device's ``aggregate_speedup_cap`` supply.
     """
-    demand = sum(
-        task.fps * sum(stage.composite.base_time for stage in task.stages)
+    demand = sum_in_order(
+        task.fps * sum_in_order(stage.composite.base_time for stage in task.stages)
         for task in task_set
     )
     return demand / spec.aggregate_speedup_cap

@@ -98,6 +98,7 @@ from repro.exp.grid import registered_variants
 from repro.exp.runner import run_grid
 from repro.exp.worker import run_point
 from repro.gpu.spec import RTX_2080_TI
+from repro.numeric import sum_in_order
 from repro.speedup.measure import measure_network_speedup, measure_op_speedups
 from repro.workloads.scenarios import (
     OVERSUBSCRIPTION_LEVELS,
@@ -600,8 +601,8 @@ def _print_open_system_summary(results) -> None:
     print("open-system metrics (mean over points):")
     for variant in sorted(by_variant):
         rows = by_variant[variant]
-        rejection = sum(r.rejection_rate for r in rows) / len(rows)
-        goodput = sum(r.goodput for r in rows) / len(rows)
+        rejection = sum_in_order(r.rejection_rate for r in rows) / len(rows)
+        goodput = sum_in_order(r.goodput for r in rows) / len(rows)
         p99s = [r.p99_response for r in rows if r.p99_response is not None]
         tail = (
             f"p99 {max(p99s) * 1e3:.1f} ms (worst point)"
@@ -736,7 +737,7 @@ def _synth(args: argparse.Namespace) -> None:
     process = resolve_arrival(args.arrival)
     horizon = 4.0
     events = record_arrivals(process, tasks, horizon=horizon, seed=args.seed)
-    nominal = sum(horizon / task.period for task in tasks)
+    nominal = sum_in_order(horizon / task.period for task in tasks)
     print()
     print(f"arrival process: {process.name} — {process.describe()}")
     print(

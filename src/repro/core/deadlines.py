@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.core.task import TaskSpec
+from repro.numeric import sum_in_order
 
 
 def assign_virtual_deadlines(wcets: Sequence[float], relative_deadline: float) -> List[float]:
@@ -32,10 +33,10 @@ def assign_virtual_deadlines(wcets: Sequence[float], relative_deadline: float) -
         raise ValueError(f"all WCETs must be positive, got {list(wcets)}")
     if relative_deadline <= 0:
         raise ValueError(f"deadline must be positive, got {relative_deadline}")
-    total = sum(wcets)
+    total = sum_in_order(wcets)
     slices = [relative_deadline * c / total for c in wcets]
     # Absorb rounding residue into the final slice so the sum is exact.
-    slices[-1] = relative_deadline - sum(slices[:-1])
+    slices[-1] = relative_deadline - sum_in_order(slices[:-1])
     return slices
 
 

@@ -27,7 +27,8 @@ distinguish two ways a release can fail to enter the system:
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - workloads imports core at runtime
     from repro.workloads.arrivals import ArrivalProcess
@@ -38,7 +39,7 @@ from repro.core.priority import initial_priority, promote_if_predecessor_missed
 from repro.core.task import StageSpec, TaskSet, TaskSpec
 from repro.gpu.context import SimContext
 from repro.gpu.device import GpuDevice
-from repro.gpu.kernel import PriorityLevel, StageKernel
+from repro.gpu.kernel import PRIORITY_NAMES, PriorityLevel, StageKernel
 from repro.gpu.mps import ReconfigurationPolicy, ZeroConfigPool
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import MetricsCollector, StageRecord
@@ -71,11 +72,8 @@ class StageInstance:
         self.record = record
         self.kernel: Optional[StageKernel] = None
         self.finish_time: Optional[float] = None
-
-    @property
-    def label(self) -> str:
-        """Stable identifier, e.g. ``"cam3/j12/s4"``."""
-        return f"{self.job.task.name}/j{self.job.index}/s{self.spec.index}"
+        #: Stable identifier, e.g. ``"cam3/j12/s4"``.
+        self.label = f"{job.task.name}/j{job.index}/s{spec.index}"
 
 
 class JobInstance:
@@ -193,7 +191,11 @@ class SchedulerBase:
         self._rng = random.Random(seed)
         self._job_counters: Dict[str, int] = {}
         self._latest_job: Dict[str, JobInstance] = {}
-        self._arrival_streams: Dict[str, Iterator[float]] = {}
+        #: Task name -> its arrival stream, the action that releases its
+        #: next job and that action's event tag, all built once.
+        self._release_plans: Dict[
+            str, Tuple[Iterator[float], Callable[[], None], str]
+        ] = {}
         self._inflight: Dict[str, int] = {}
         self._inflight_total = 0
         device.on_kernel_complete = self._on_kernel_complete
@@ -236,8 +238,12 @@ class SchedulerBase:
         from repro.workloads.arrivals import derive_arrival_seed
 
         for task in self.task_set:
-            self._arrival_streams[task.name] = arrivals.stream(
-                task, derive_arrival_seed(self.seed, arrivals.name, task.name)
+            self._release_plans[task.name] = (
+                arrivals.stream(
+                    task, derive_arrival_seed(self.seed, arrivals.name, task.name)
+                ),
+                partial(self._release_job, task),
+                f"release:{task.name}",
             )
             self._schedule_next_release(task)
 
@@ -247,13 +253,10 @@ class SchedulerBase:
         A ``None`` from the stream (only replay streams are finite) or an
         arrival at/past the horizon ends the task's release chain.
         """
-        when = next(self._arrival_streams[task.name], None)
+        stream, action, tag = self._release_plans[task.name]
+        when = next(stream, None)
         if when is not None and when < self.horizon:
-            self.engine.schedule_at(
-                when,
-                lambda t=task: self._release_job(t),
-                tag=f"release:{task.name}",
-            )
+            self.engine.schedule_at(when, action, tag)
 
     def _decide(
         self, job: JobInstance, previous: Optional[JobInstance]
@@ -341,7 +344,7 @@ class SchedulerBase:
         record = self.metrics.stage_released(
             job.task.name, job.index, stage_index, self.engine.now, deadline
         )
-        record.priority = priority.name
+        record.priority = PRIORITY_NAMES[priority]
         stage = StageInstance(spec, job, deadline, priority, record)
         job.stages[stage_index] = stage
         work = spec.composite.base_time
@@ -366,7 +369,7 @@ class SchedulerBase:
                 STAGE_RELEASE,
                 stage=stage.label,
                 context=context.context_id,
-                priority=priority.name,
+                priority=record.priority,
                 deadline=deadline,
             )
         self.device.submit(kernel, context)

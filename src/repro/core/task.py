@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.dnn.graph import LayerGraph
+from repro.numeric import sum_in_order
 from repro.speedup.composite import CompositeWorkload
 
 
@@ -116,7 +117,7 @@ class TaskSpec:
     @property
     def total_wcet(self) -> float:
         """``C_i``: sum of stage WCETs at the nominal partition size."""
-        return sum(stage.wcet for stage in self.stages)
+        return sum_in_order(stage.wcet for stage in self.stages)
 
     @property
     def fps(self) -> float:
@@ -149,7 +150,7 @@ class TaskSpec:
                 raise ValueError(
                     f"task {self.name!r}: some stages lack virtual deadlines"
                 )
-            total = sum(deadlines)
+            total = sum_in_order(deadlines)
             if abs(total - self.relative_deadline) > 1e-9 * max(
                 1.0, self.relative_deadline
             ):
@@ -186,11 +187,11 @@ class TaskSet:
 
     def total_utilization(self) -> float:
         """Sum of per-task utilizations (nominal-partition WCET basis)."""
-        return sum(task.utilization() for task in self.tasks)
+        return sum_in_order(task.utilization() for task in self.tasks)
 
     def total_demand_fps(self) -> float:
         """Sum of requested frame rates."""
-        return sum(task.fps for task in self.tasks)
+        return sum_in_order(task.fps for task in self.tasks)
 
     def validate(self) -> None:
         """Validate every task."""

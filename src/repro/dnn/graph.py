@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.dnn.ops import Operator
+from repro.numeric import sum_in_order
 
 
 class GraphError(ValueError):
@@ -108,11 +109,11 @@ class LayerGraph:
     # ------------------------------------------------------------------
     def total_flops(self) -> float:
         """Sum of FLOPs over all operators."""
-        return sum(op.flops for op in self._nodes.values())
+        return sum_in_order(op.flops for op in self._nodes.values())
 
     def total_bytes(self) -> float:
         """Sum of modelled DRAM traffic over all operators."""
-        return sum(op.bytes_moved for op in self._nodes.values())
+        return sum_in_order(op.bytes_moved for op in self._nodes.values())
 
     def total_params(self) -> int:
         """Sum of parameter counts over all operators."""

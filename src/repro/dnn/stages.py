@@ -21,6 +21,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.dnn.graph import LayerGraph
 from repro.dnn.ops import Operator
+from repro.numeric import sum_in_order
 
 CostFn = Callable[[Operator], float]
 
@@ -62,9 +63,10 @@ class StagePlan:
 
     def imbalance(self) -> float:
         """max(stage cost) / mean(stage cost); 1.0 is perfectly balanced."""
-        if not self.costs or sum(self.costs) == 0.0:
+        total = sum_in_order(self.costs)
+        if not self.costs or total == 0.0:
             return 1.0
-        mean = sum(self.costs) / len(self.costs)
+        mean = total / len(self.costs)
         return max(self.costs) / mean
 
     def validate(self) -> None:
@@ -135,7 +137,7 @@ def partition_into_stages(
     plan = StagePlan(
         graph=graph,
         stages=stages,
-        costs=[sum(cost_fn(op) for op in stage) for stage in stages],
+        costs=[sum_in_order(cost_fn(op) for op in stage) for stage in stages],
     )
     plan.validate()
     return plan

@@ -36,6 +36,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.gpu.context import SimContext
 from repro.gpu.kernel import StageKernel
+from repro.numeric import sum_in_order
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def intra_context_shares(
     # Water-filling terminates in <= len(kernels) rounds because each round
     # either caps at least one kernel or distributes the whole budget.
     while remaining and budget > 1e-12:
-        total_weight = sum(k.weight for k in remaining.values())
+        total_weight = sum_in_order(k.weight for k in remaining.values())
         capped: List[int] = []
         for kernel_id, kernel in remaining.items():
             proportional = budget * kernel.weight / total_weight
@@ -145,7 +146,7 @@ def intra_context_shares(
         shares.setdefault(kernel_id, 0.0)
     if budget > 1e-12:
         # Everyone is width-satisfied: spread the leftover anyway.
-        total_weight = sum(k.weight for k in kernels)
+        total_weight = sum_in_order(k.weight for k in kernels)
         for kernel in kernels:
             shares[kernel.kernel_id] += budget * kernel.weight / total_weight
     return shares
@@ -178,13 +179,13 @@ def compute_allocation(
     occupied: List[Tuple[SimContext, List[StageKernel]]] = []
     granted_total = 0.0
     for context in contexts:
-        kernels = context.resident_kernels()
+        kernels = context.residents
         if not kernels:
             continue
         if context.fill_rev != context.residency_rev:
             shares = intra_context_shares(kernels, context.nominal_sms)
             context.fill_shares = [shares[kernel.kernel_id] for kernel in kernels]
-            context.fill_granted = sum(shares.values())
+            context.fill_granted = sum_in_order(shares.values())
             context.fill_rev = context.residency_rev
         occupied.append((context, kernels))
         granted_total += context.fill_granted

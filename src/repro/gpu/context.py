@@ -15,18 +15,25 @@ first, earliest absolute deadline first within a level.
 **Incremental accounting.**  The online phase queries this layer on every
 release and every settle — ``queued_count`` / ``queue_empty`` /
 ``backlog_work`` / ``estimated_finish_time`` for SGPRS's context
-assignment, ``free_streams`` for stream picking, ``dispatch_ready`` at
-every device change point.  None of them scans the wait queues; the
+assignment, the free-stream views for stream picking, ``dispatch_ready``
+at every device change point.  None of them scans the wait queues; the
 answers are maintained as the queues and streams change:
 
 * per-level **live counters** and aggregate **backlog accumulators**
   (queued single-SM work; queued ETA seconds at the context's nominal
   speedup) updated at enqueue / pop / tombstone time, so the four
-  accounting queries are O(1) plus an O(#streams) walk over residents;
-* a cached **free-stream occupancy** (per-class free lists plus the
-  concatenated index-ordered list), invalidated by ``residency_rev`` —
-  the same revision the device uses to skip allocation passes — and
-  rebuilt at most once per residency change, not once per call;
+  accounting queries are O(1) plus an O(#streams) walk over residents.
+  Enqueueing stores the kernel's speedup at the nominal SMs on the
+  kernel (``nominal_speedup``), so the walk over residents never
+  queries a curve;
+* **residency views kept current at attach/detach**: every stream
+  attach or detach bumps ``residency_rev`` — the revision the device
+  uses to skip allocation passes — and rebuilds, as new lists,
+  ``residents`` (the resident kernels in stream-index order),
+  ``free_high``, ``free_low`` and ``free_all`` (the idle streams of each
+  hardware class and of both).  The device, the allocator and stream
+  picking read them as plain attributes; a query never rebuilds or
+  re-validates anything, and a held reference stays a snapshot;
 * the allocator's last **water-fill** of the partition (``fill_rev``,
   ``fill_shares``, ``fill_granted``), keyed on the same revision, so an
   allocation pass re-fills only the contexts whose residents moved;
@@ -119,11 +126,14 @@ class SimContext:
         #: Monotonic counter bumped on every stream attach/detach; the device
         #: compares snapshots of it to detect that the resident set (and
         #: therefore the whole allocation) is unchanged since the last
-        #: settle, and the resident-list, water-fill and free-stream caches
-        #: below are keyed on it.
+        #: settle, and the water-fill below is keyed on it.
         self.residency_rev = 0
-        self._resident_cache: List[StageKernel] = []
-        self._resident_cache_rev = -1
+        #: Residency views, rebuilt as new lists at every attach/detach
+        #: and read-only for everyone else: ``residents`` (the resident
+        #: kernels in stream-index order), and ``free_high``, ``free_low``
+        #: and ``free_all`` (the idle streams of each hardware class and of
+        #: both, in stream-index order).
+        self._build_views()
         #: The allocator's last water-fill of this partition: each
         #: resident's share of ``nominal_sms`` (in resident order), their
         #: sum, and the ``residency_rev`` it was computed at.  The split
@@ -133,13 +143,6 @@ class SimContext:
         self.fill_rev = -1
         self.fill_shares: List[float] = []
         self.fill_granted = 0.0
-        # Cached free-stream occupancy (rebuilt when residency_rev moved).
-        self._free_cache_rev = -1
-        self._free_by_class: Dict[StreamClass, List[CudaStream]] = {
-            StreamClass.HIGH: [],
-            StreamClass.LOW: [],
-        }
-        self._free_all: List[CudaStream] = []
         # Incremental queue accounting.
         self._live: Dict[PriorityLevel, int] = {level: 0 for level in PriorityLevel}
         self._live_total = 0
@@ -159,9 +162,6 @@ class SimContext:
         #: Accounting queries answered (queued_count/queue_empty/
         #: backlog_work/estimated_finish_time).
         self.stat_acct_queries = 0
-        #: Free-stream list constructions (at most one per residency
-        #: change).
-        self.stat_free_builds = 0
         #: Tombstone-dropping EDF heap rebuilds performed.
         self.stat_compactions = 0
 
@@ -191,10 +191,13 @@ class SimContext:
         A queued stage's ``work_remaining`` and ``setup_remaining`` are
         frozen until it is dispatched (only residents advance), so its
         contribution is computed once here and stored for exact removal.
+        Its nominal speedup is kept on the kernel for the estimates that
+        walk the residents once it is dispatched.
         """
         level = kernel.priority
         work = kernel.work_remaining
-        eta = kernel.setup_remaining + work / self._nominal_speedup(kernel)
+        kernel.nominal_speedup = speedup = self._nominal_speedup(kernel)
+        eta = kernel.setup_remaining + work / speedup
         self._queued_entry[kernel.kernel_id] = (level, work, eta)
         self._live[level] += 1
         self._live_total += 1
@@ -255,74 +258,67 @@ class SimContext:
 
     def is_idle(self) -> bool:
         """Whether the context has no resident and no queued stage."""
-        return not self.resident_kernels() and self.queue_empty()
+        return not self.residents and self.queue_empty()
 
     # ------------------------------------------------------------------
     # Residency
     # ------------------------------------------------------------------
     def _on_residency_change(self) -> None:
-        """Stream attach/detach hook: invalidate residency-keyed caches."""
+        """Stream attach/detach hook: bump the revision, rebuild the views."""
         self.residency_rev += 1
+        self._build_views()
 
-    def resident_kernels(self) -> List[StageKernel]:
-        """Kernels currently occupying streams, in stream-index order.
+    def _build_views(self) -> None:
+        """Rebuild the residency views from the streams, as new lists.
 
-        The list is cached and rebuilt only when a stream attach/detach
-        moved :attr:`residency_rev` — the allocator and device call this on
-        every change point, so the rebuild must not be paid when nothing
-        moved.  Callers must treat the result as read-only (a fresh list
-        object replaces it on the next residency change, so held references
-        stay stable snapshots).
-
-        The stream-index ordering is load-bearing: the allocator's
-        order-sensitive float sums accumulate in this order, so changing
-        it changes traces.
+        The stream-index ordering of ``residents`` is load-bearing: the
+        allocator's order-sensitive float sums accumulate in this order,
+        so changing it changes traces.
         """
-        if self._resident_cache_rev != self.residency_rev:
-            self._resident_cache = [
-                s.kernel for s in self.streams if s.kernel is not None
-            ]
-            self._resident_cache_rev = self.residency_rev
-        return self._resident_cache
-
-    def _refresh_free_cache(self) -> None:
-        """Rebuild the free-stream occupancy if the residency moved."""
-        if self._free_cache_rev == self.residency_rev:
-            return
+        residents: List[StageKernel] = []
         high: List[CudaStream] = []
         low: List[CudaStream] = []
         free: List[CudaStream] = []
         for stream in self.streams:
-            if stream.kernel is None:
-                free.append(stream)
-                if stream.stream_class is StreamClass.HIGH:
-                    high.append(stream)
-                else:
-                    low.append(stream)
-        self._free_by_class[StreamClass.HIGH] = high
-        self._free_by_class[StreamClass.LOW] = low
-        self._free_all = free
-        self._free_cache_rev = self.residency_rev
-        self.stat_free_builds += 1
+            kernel = stream.kernel
+            if kernel is not None:
+                residents.append(kernel)
+                continue
+            free.append(stream)
+            if stream.stream_class is StreamClass.HIGH:
+                high.append(stream)
+            else:
+                low.append(stream)
+        self.residents = residents
+        self.free_high = high
+        self.free_low = low
+        self.free_all = free
 
-    def free_streams(
-        self, stream_class: Optional[StreamClass] = None
-    ) -> List[CudaStream]:
-        """Idle streams, optionally filtered by hardware class.
+    def resident_kernels(self) -> List[StageKernel]:
+        """Kernels currently occupying streams, in stream-index order.
 
-        Returns the cached occupancy list: read-only, and replaced by a
-        fresh list on the next residency change.
+        The :attr:`residents` view: read-only, and replaced by a new list
+        at the next attach/detach.
         """
-        self._refresh_free_cache()
-        if stream_class is None:
-            return self._free_all
-        return self._free_by_class[stream_class]
+        return self.residents
 
-    def free_stream_count(
-        self, stream_class: Optional[StreamClass] = None
-    ) -> int:
-        """Number of idle streams (optionally of one hardware class)."""
-        return len(self.free_streams(stream_class))
+    def free_streams(self) -> List[CudaStream]:
+        """Idle streams of either hardware class, in stream-index order.
+
+        The :attr:`free_all` view: read-only, and replaced by a new list
+        at the next attach/detach.
+        """
+        return self.free_all
+
+    def free_stream_count(self) -> int:
+        """Number of idle streams."""
+        return len(self.free_all)
+
+    @property
+    def stat_free_builds(self) -> int:
+        """Residency-view rebuilds: one per attach/detach, so always
+        equal to :attr:`residency_rev`."""
+        return self.residency_rev
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -369,10 +365,12 @@ class SimContext:
         return None
 
     def _pick_stream(self, level: PriorityLevel) -> Optional[CudaStream]:
-        preferred = PREFERRED_CLASS[level]
-        candidates = self.free_streams(preferred)
+        if PREFERRED_CLASS[level] is StreamClass.HIGH:
+            candidates = self.free_high
+        else:
+            candidates = self.free_low
         if not candidates and self.allow_stream_borrowing:
-            candidates = self.free_streams()
+            candidates = self.free_all
         return candidates[0] if candidates else None
 
     def remove(self, kernel: StageKernel) -> None:
@@ -400,7 +398,7 @@ class SimContext:
         """Single-SM seconds of work resident + queued on this context."""
         self.stat_acct_queries += 1
         total = 0.0
-        for kernel in self.resident_kernels():
+        for kernel in self.residents:
             total += kernel.work_remaining
         return total + self._queued_work
 
@@ -412,14 +410,14 @@ class SimContext:
         intentionally simple estimate, mirroring what an online scheduler
         can actually compute cheaply.  The (frozen) queued contributions
         are summed once at enqueue time; only the residents are walked
-        here.
+        here, at the nominal speedup each was enqueued with.
         """
         self.stat_acct_queries += 1
         eta = now
-        for kernel in self.resident_kernels():
+        for kernel in self.residents:
             eta += (
                 kernel.setup_remaining
-                + kernel.work_remaining / self._nominal_speedup(kernel)
+                + kernel.work_remaining / kernel.nominal_speedup
             )
         return eta + self._queued_eta
 
@@ -427,7 +425,7 @@ class SimContext:
         """ETA for ``kernel`` if it were assigned to this context now."""
         speedup = self._nominal_speedup(kernel)
         own_time = kernel.setup_remaining + kernel.work_remaining / speedup
-        if self.queue_empty() and len(self.resident_kernels()) < len(self.streams):
+        if self.queue_empty() and len(self.residents) < len(self.streams):
             # Would start immediately, sharing the partition.
             return now + own_time
         return self.estimated_finish_time(now) + own_time
@@ -435,5 +433,5 @@ class SimContext:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SimContext({self.context_id}, sms={self.nominal_sms:.1f}, "
-            f"resident={len(self.resident_kernels())}, queued={self.queued_count()})"
+            f"resident={len(self.residents)}, queued={self.queued_count()})"
         )

@@ -7,7 +7,8 @@ finishes.  Rates are piecewise-constant between *change points* (submit,
 completion, abort); at every change point the device
 
 1. advances each resident kernel by the elapsed time at its previous rate,
-   walking each context's cached resident list,
+   walking each context's ``residents`` view (kept current at every
+   attach/detach),
 2. recomputes the allocation — unless the resident set is untouched since
    the last settle (a submit that only queued, an abort that only
    tombstoned), in which case shares, rates and every completion anchor
@@ -46,7 +47,7 @@ from repro.gpu.allocator import (
     compute_allocation,
 )
 from repro.gpu.context import SimContext
-from repro.gpu.kernel import StageKernel
+from repro.gpu.kernel import PRIORITY_NAMES, StageKernel
 from repro.gpu.spec import GpuDeviceSpec
 from repro.sim.clock import TIME_EPS
 from repro.sim.engine import Event, SimulationEngine
@@ -209,7 +210,7 @@ class GpuDevice:
                             KERNEL_START,
                             kernel=kernel.label,
                             context=context.context_id,
-                            priority=kernel.priority.name,
+                            priority=PRIORITY_NAMES[kernel.priority],
                         )
                 else:
                     for kernel in newly:
@@ -226,7 +227,7 @@ class GpuDevice:
         aggregate = 0.0
         work_done = self.total_work_done
         for context in self.contexts:
-            for kernel in context.resident_kernels():
+            for kernel in context.residents:
                 # advance() reports the work actually consumed: setup
                 # seconds burn at rate 1 without producing work, so
                 # integrating rate * elapsed would overcount any kernel

@@ -46,6 +46,10 @@ PRIORITY_WEIGHTS = {
     PriorityLevel.HIGH: 2.0,
 }
 
+#: Each level's name, indexed by level: the ``Enum.name`` descriptor runs
+#: Python code on every read, a tuple index does not.
+PRIORITY_NAMES = tuple(level.name for level in sorted(PriorityLevel))
+
 _KERNEL_IDS = itertools.count()
 
 
@@ -104,6 +108,9 @@ class StageKernel:
         self.width_demand = width_demand
         self.deadline = deadline
         self.priority = priority
+        #: Intra-context share weight of the priority level; a kernel's
+        #: priority never changes after construction.
+        self.weight = PRIORITY_WEIGHTS[priority]
         self.payload = payload
         # Execution state, managed by the device/context/allocator:
         #: Effective SM share published by the last allocation pass.
@@ -126,6 +133,10 @@ class StageKernel:
         self.curve_share: float = float("nan")
         self.curve_speedup: float = 0.0
         self.context_id: Optional[int] = None
+        # ``nominal_speedup`` (the curve's speedup at the assigned
+        # context's nominal SMs) is set by ``SimContext.enqueue`` and left
+        # unset until then, so an estimate over a kernel that skipped the
+        # queue fails loudly instead of reading a stale number.
         self.stream_id: Optional[int] = None
         self.dispatched_at: Optional[float] = None
         self.aborted = False
@@ -133,11 +144,6 @@ class StageKernel:
     # ------------------------------------------------------------------
     # Progress accounting
     # ------------------------------------------------------------------
-    @property
-    def weight(self) -> float:
-        """Intra-context share weight derived from the priority level."""
-        return PRIORITY_WEIGHTS[self.priority]
-
     #: Residual work below this many single-SM seconds counts as done
     #: (~1 picosecond of modelled work; far below any kernel's scale but
     #: far above accumulated float64 rounding error).

@@ -9,9 +9,9 @@ priority queues until a stream frees up.
 A stream created by a :class:`~repro.gpu.context.SimContext` carries a
 back-reference to its owner; :meth:`CudaStream.attach` and
 :meth:`CudaStream.detach` notify the owner so its residency revision and
-cached free-stream occupancy can never go stale, no matter which code path
-moved the kernel.  Bare streams (``owner=None``, as unit tests build them)
-skip the notification.
+residency views (resident kernels, idle streams) can never go stale, no
+matter which code path moved the kernel.  Bare streams (``owner=None``,
+as unit tests build them) skip the notification.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class CudaStream:
         self.stream_class = stream_class
         self.kernel: Optional[StageKernel] = None
         #: Owning context (or ``None`` for bare streams); attach/detach
-        #: notify it so occupancy caches stay exact.
+        #: notify it so its residency views stay exact.
         self.owner = owner
 
     @property

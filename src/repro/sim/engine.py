@@ -1,6 +1,6 @@
 """Deterministic discrete-event simulation engine.
 
-The engine is a classic binary-heap event loop.  Three properties matter for
+The engine is a classic binary-heap event loop.  Four properties matter for
 reproducing scheduler behaviour faithfully at speed:
 
 * **Determinism** — events fire in ``(time, seq)`` order, where ``seq`` is
@@ -15,13 +15,22 @@ reproducing scheduler behaviour faithfully at speed:
   compaction preserves the order too: the live events' ``(time, seq)``
   keys are a total order, so a rebuilt heap pops in exactly the same order
   as the original.
+* **Ordering in C** — a heap entry is a ``(time, seq, event)`` tuple, so
+  every heap comparison is a tuple comparison the interpreter does without
+  calling back into Python.  Two entries share ``(time, seq)`` only when a
+  client re-pushed a stamp whose previous event it cancelled; only then is
+  :meth:`Event.__lt__` reached, and it orders neither before the other,
+  exactly as a heap of events compared by ``(time, seq)`` would.
 * **Cheap cancellation** — a device moves its one provisional completion
   event whenever its earliest completion changes.  Cancelled events are
   tombstoned and skipped when popped instead of being removed from the
   heap, which keeps :meth:`SimulationEngine.cancel` amortised O(1).
   ``engine.cancel(event)`` is the only way to cancel (an event handle has
   no ``cancel`` of its own), so the pending-event accounting can never
-  drift.
+  drift.  :meth:`~SimulationEngine.step`,
+  :meth:`~SimulationEngine.run_until` and
+  :meth:`~SimulationEngine.peek_time` share one pop, which drops the
+  tombstones ahead of the next live event once.
 * **Bounded tombstone debt** — whenever cancelled events outnumber live
   ones, the heap is rebuilt without the tombstones (an O(n) pass paid at
   most every n cancellations, so still amortised O(1) per cancel).  Without
@@ -34,9 +43,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.sim.clock import TIME_EPS, validate_time
+
+
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -79,6 +91,12 @@ class Event:
     fired: bool = field(default=False, compare=False)
 
     def __lt__(self, other: "Event") -> bool:
+        """Order by ``(time, seq)``.
+
+        Heap entries are ``(time, seq, event)`` tuples, so this runs only
+        when two entries tie on both: a re-pushed stamp and its own
+        tombstone, neither of which it orders before the other.
+        """
         return (self.time, self.seq) < (other.time, other.seq)
 
 
@@ -106,7 +124,7 @@ class SimulationEngine:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = validate_time(start_time, "start_time")
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._scheduled = 0
         self._processed = 0
@@ -156,10 +174,10 @@ class SimulationEngine:
 
     def peek_time(self) -> Optional[float]:
         """Return the timestamp of the next live event, or ``None`` if idle."""
-        self._drop_cancelled_head()
+        self._pop_due(-_INF)  # due by no horizon: drops tombstones only
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -216,11 +234,10 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule event {tag!r} with unreserved order stamp {seq}"
             )
-        event = Event(
-            time=max(when, self._now), seq=seq, action=action, tag=tag
-        )
+        when = max(when, self._now)
+        event = Event(time=when, seq=seq, action=action, tag=tag)
         self._scheduled += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (when, seq, event))
         return event
 
     def cancel(self, event: Event) -> None:
@@ -247,16 +264,9 @@ class SimulationEngine:
 
         Returns ``True`` if an event fired, ``False`` if the queue is empty.
         """
-        self._drop_cancelled_head()
-        if not self._heap:
+        event = self._pop_due(_INF)
+        if event is None:
             return False
-        event = heapq.heappop(self._heap)
-        event.fired = True
-        # Guard against clock regression: the heap invariant guarantees
-        # event.time >= self._now up to scheduling-time validation.
-        if event.time > self._now:
-            self._now = event.time
-        self._processed += 1
         event.action()
         return True
 
@@ -288,12 +298,13 @@ class SimulationEngine:
             raise SimulationError(
                 f"horizon {horizon} is before current time {self._now}"
             )
+        pop_due = self._pop_due
         fired = 0
         while max_events is None or fired < max_events:
-            next_time = self.peek_time()
-            if next_time is None or next_time > horizon:
+            event = pop_due(horizon)
+            if event is None:
                 break
-            self.step()
+            event.action()
             fired += 1
         else:
             next_time = self.peek_time()
@@ -307,10 +318,32 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _drop_cancelled_head(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-            self._cancelled_pending -= 1
+    def _pop_due(self, horizon: float) -> Optional[Event]:
+        """Pop the next live event if it is due by ``horizon``, dropping the
+        tombstones ahead of it, and advance the clock to it.
+
+        Returns ``None``, popping no live event, when none is due.  This is
+        the engine's one pop: :meth:`step`, :meth:`run_until` and
+        :meth:`peek_time` all go through it.
+        """
+        heap = self._heap
+        while heap:
+            time, _, event = heap[0]
+            if event.cancelled:
+                heapq.heappop(heap)
+                self._cancelled_pending -= 1
+                continue
+            if time > horizon:
+                return None
+            heapq.heappop(heap)
+            event.fired = True
+            # Guard against clock regression: the heap invariant guarantees
+            # time >= self._now up to scheduling-time validation.
+            if time > self._now:
+                self._now = time
+            self._processed += 1
+            return event
+        return None
 
     def _compact(self) -> None:
         """Rebuild the heap without tombstones.
@@ -318,7 +351,7 @@ class SimulationEngine:
         Pop order is unchanged: heap order is fully determined by the
         ``(time, seq)`` comparison, a total order over live events.
         """
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_pending = 0
         self._compactions += 1

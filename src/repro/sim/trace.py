@@ -18,13 +18,15 @@ is checked against: it stores any fields as given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One trace entry.
+
+    A named tuple: iterating a columnar trace or taking one kind of it
+    builds one per record, and a tuple takes its fields in one step where
+    a frozen dataclass pays an ``object.__setattr__`` call per field.
 
     Attributes
     ----------
@@ -33,12 +35,13 @@ class TraceRecord:
     kind:
         Event category, e.g. ``"stage_dispatch"`` or ``"job_complete"``.
     fields:
-        Free-form payload describing the event.
+        Free-form payload describing the event.  Required: a tuple field
+        cannot default to a fresh mutable dict.
     """
 
     time: float
     kind: str
-    fields: Dict[str, Any] = field(default_factory=dict)
+    fields: Dict[str, Any]
 
     def get(self, key: str, default: Any = None) -> Any:
         """Return ``fields[key]`` or ``default``."""

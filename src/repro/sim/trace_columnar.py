@@ -1,6 +1,6 @@
 """Array-backed columnar trace recorder: what every traced run records.
 
-:class:`~repro.sim.trace.TraceRecorder` keeps one frozen dataclass plus
+:class:`~repro.sim.trace.TraceRecorder` keeps one named tuple plus
 one dict per event — convenient, but a million-event run (which
 overloaded pools and open-system arrivals readily produce) costs
 hundreds of bytes per event.  :class:`ColumnarTrace` stores the same
@@ -27,6 +27,10 @@ departs from its kind's layout — a missing or extra field, a value of
 another type (a ``bool`` is not an ``int``), any other object, an int
 beyond 64 bits — or whose time is not a number makes that flush raise a
 ``ValueError`` naming the kind and the field, and the chunk is dropped.
+So does a time the reader of :mod:`repro.sim.trace_io` would refuse:
+one that is not finite, or earlier than the time recorded before it
+(checked after the layout), so the recorder never holds a trace that
+cannot be read back.
 Strings are interned in record order, then field order within a record,
 so the stored columns, the string table and the serialised bytes do not
 depend on where the chunk boundaries fall.
@@ -41,9 +45,10 @@ depend on where the chunk boundaries fall.
 
 from __future__ import annotations
 
+import math
 from array import array
 from itertools import compress, count, repeat
-from operator import itemgetter, not_
+from operator import itemgetter, le, not_
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.sim.trace import TraceRecord
@@ -126,6 +131,38 @@ def _columns_of(
                 ) from None
         columns.append(values)
     return columns
+
+
+def times_in_order(times: Sequence[float], last: Optional[float] = None) -> bool:
+    """Whether the trace reader accepts ``times``: the first and last are
+    finite and none runs backwards, within ``times`` or against ``last``,
+    the time stored before them (``None`` if there is none).
+
+    Finite ends and no step back leave no room for a NaN or an infinity
+    in between, so the middle needs only the ``<=`` walk.
+    """
+    return not times or (
+        (last is None or last <= times[0])
+        and math.isfinite(times[0])
+        and math.isfinite(times[-1])
+        and all(map(le, times, times[1:]))
+    )
+
+
+def _refuse_times(kinds: List[str], times: array, last: Optional[float]) -> None:
+    """Raise the ``ValueError`` for times :func:`times_in_order` refused,
+    naming the kind of the first offending record and the field ``time``."""
+    for time, kind in zip(times, kinds):
+        if not math.isfinite(time):
+            raise ValueError(
+                f"trace kind {kind!r} field 'time': {time!r} is not finite"
+            )
+        if last is not None and time < last:
+            raise ValueError(
+                f"trace kind {kind!r} field 'time': {time!r} is before the "
+                f"time recorded before it, {last!r}"
+            )
+        last = time
 
 
 class _KindGroup:
@@ -229,6 +266,9 @@ class ColumnarTrace:
             plans.append(
                 (group, offsets, _columns_of(kind, group.codes, records))
             )
+        last = self._times[-1] if self._times else None
+        if not times_in_order(times, last):
+            _refuse_times(kinds, times, last)
         # Checked: store.  New strings are interned by record, then by
         # field within the record.
         string_ids = self._string_ids

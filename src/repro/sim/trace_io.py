@@ -67,12 +67,11 @@ directories.
 from __future__ import annotations
 
 import json
-import math
 import struct
 import sys
 from array import array
 from itertools import count, repeat
-from operator import itemgetter, le, lt
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -81,6 +80,7 @@ from repro.sim.trace_columnar import (
     STR,
     ColumnarTrace,
     _KindGroup,
+    times_in_order,
 )
 
 MAGIC = b"RPTC"
@@ -259,11 +259,7 @@ def trace_from_bytes(data: bytes) -> ColumnarTrace:
     records = header["records"]
     if not len(times) == len(kind_ids) == len(rows) == records:
         raise ValueError("inconsistent trace payload (record counts differ)")
-    if times and not (
-        math.isfinite(times[0])
-        and math.isfinite(times[-1])
-        and all(map(le, times, times[1:]))
-    ):
+    if not times_in_order(times):
         raise ValueError(
             "inconsistent trace payload (times not finite and non-decreasing)"
         )

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.dnn.ops import Operator
+from repro.numeric import sum_in_order
 from repro.speedup.calibration import (
     DEFAULT_CALIBRATION,
     DeviceCalibration,
@@ -98,7 +99,7 @@ class CompositeWorkload:
     @property
     def total_work(self) -> float:
         """Parallelisable work in single-SM seconds (excludes overhead)."""
-        return sum(work for work, _ in self.segments)
+        return sum_in_order(work for work, _ in self.segments)
 
     def speedup(self, sms: float) -> float:
         """Composite speedup ``T(1)/T(s)``; 0 below a zero share.

@@ -34,6 +34,7 @@ from typing import List, Sequence, Tuple
 
 from repro.core.deadlines import apply_virtual_deadlines
 from repro.core.task import TaskSpec, TaskSet
+from repro.numeric import sum_in_order
 from repro.speedup.calibration import DEFAULT_CALIBRATION, DeviceCalibration
 from repro.workloads.generator import template_task
 from repro.workloads.synth.spec import SynthSpec
@@ -202,7 +203,9 @@ def synthesize_taskset(
         ]
     # One global re-scale restores the target total utilization exactly
     # (a no-op for the "implied" class up to float rounding).
-    achieved = sum(wcet / period for wcet, period in zip(wcets, periods))
+    achieved = sum_in_order(
+        wcet / period for wcet, period in zip(wcets, periods)
+    )
     scale = achieved / spec.total_utilization
     periods = [period * scale for period in periods]
 

@@ -24,6 +24,7 @@ from repro.dnn.mixer import build_mlp_mixer
 from repro.dnn.mobilenet import build_mobilenet_small
 from repro.dnn.models import build_mlp, build_simple_cnn, build_vgg11
 from repro.dnn.resnet import build_resnet18, build_resnet34
+from repro.numeric import sum_in_order
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ def pick_model(mix_name: str, rng: random.Random) -> str:
     the synthesis RNG stream stays stable when mixes are re-weighted.
     """
     mix = get_mix(mix_name)
-    total = sum(weight for _, weight in mix)
+    total = sum_in_order(weight for _, weight in mix)
     draw = rng.random() * total
     cumulative = 0.0
     for key, weight in mix:

@@ -314,7 +314,7 @@ class TestQueueCompaction:
 
 
 class TestAccountingModes:
-    """The incremental counters, accumulators and free-stream cache."""
+    """The incremental counters, accumulators and residency views."""
 
     def test_queries_match_expected_values(self):
         """Every query on a mixed history matches the value computed from
@@ -376,24 +376,48 @@ class TestAccountingModes:
         assert context._queued_eta == 0.0
 
     def test_free_streams_rebuild_once_per_change(self):
-        """Query bursts without a residency change rebuild the free-stream
-        list at most once; the first burst after an attach, exactly once."""
+        """Every attach and every detach rebuilds the residency views
+        exactly once; queries rebuild nothing."""
         context = SimContext(0, 34.0)
         for i in range(10):
             context.enqueue(make_kernel(f"k{i}", deadline=float(i)))
-        context.dispatch_ready()
+        builds = context.stat_free_builds
+        assert len(context.dispatch_ready()) == 4  # four attaches
+        assert context.stat_free_builds - builds == 4
         builds = context.stat_free_builds
         for _ in range(25):
             context.queued_count()
             context.backlog_work()
             context.estimated_finish_time(0.0)
             context.free_streams()
-        assert context.stat_free_builds - builds <= 1
+        assert context.stat_free_builds == builds
 
         context = SimContext(1, 34.0)
         context.enqueue(make_kernel("a"))
-        assert len(context.dispatch_ready()) == 1  # one attach
         builds = context.stat_free_builds
+        (kernel,) = context.dispatch_ready()  # one attach
         for _ in range(25):
             context.free_streams()
         assert context.stat_free_builds - builds == 1
+        context.remove(kernel)  # one detach
+        assert context.stat_free_builds - builds == 2
+
+    def test_views_held_across_a_change_stay_snapshots(self):
+        context = SimContext(0, 34.0)
+        residents, free, low = context.residents, context.free_all, context.free_low
+        context.enqueue(make_kernel("a"))
+        (kernel,) = context.dispatch_ready()
+        assert (residents, len(free), len(low)) == ([], 4, 2)
+        assert context.residents == [kernel]
+        # The LOW kernel took stream 2; views keep stream-index order.
+        assert context.free_all == [context.streams[i] for i in (0, 1, 3)]
+        assert context.free_high == context.streams[:2]
+        assert context.free_low == [context.streams[3]]
+
+    def test_estimate_over_a_kernel_that_skipped_the_queue_fails(self):
+        """A resident's nominal speedup is stored when it is enqueued; a
+        kernel attached without one fails loudly, not with a stale value."""
+        context = SimContext(0, 34.0)
+        context.streams[0].attach(make_kernel("a"))
+        with pytest.raises(AttributeError, match="nominal_speedup"):
+            context.estimated_finish_time(0.0)

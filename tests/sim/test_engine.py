@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import SimulationEngine, SimulationError
+from repro.sim.engine import Event, SimulationEngine, SimulationError
 
 
 class TestScheduling:
@@ -121,6 +121,34 @@ class TestReservedStamps:
         engine.run()
         assert fired == [2]
         assert engine.processed_count == 1
+
+    def test_heap_order_compares_events_only_on_a_repushed_stamp(
+        self, monkeypatch
+    ):
+        """Heap entries order by ``(time, seq)`` without calling back into
+        ``Event``; only a stamp pushed again next to its own tombstone
+        ties, and then the tie-break is reached."""
+        compared = []
+        event_lt = Event.__lt__
+
+        def counted(event, other):
+            compared.append((event.seq, other.seq))
+            return event_lt(event, other)
+
+        monkeypatch.setattr(Event, "__lt__", counted)
+        engine = SimulationEngine()
+        fired = []
+        for index in range(40):
+            when = (index * 7) % 10 / 10
+            engine.schedule_at(when, lambda i=index: fired.append(i))
+        stamp = engine.reserve_seq()
+        engine.cancel(engine.schedule_at_seq(0.5, stamp, lambda: None))
+        assert compared == []
+        engine.schedule_at_seq(0.5, stamp, lambda: fired.append("again"))
+        engine.run()
+        assert compared and set(compared) == {(stamp, stamp)}
+        assert len(fired) == 41 and fired.index("again") == 24
+        assert engine.pending_count == engine.heap_size == 0
 
     @pytest.mark.parametrize("stamp", [-1, 1, 5])
     def test_unreserved_stamp_rejected(self, stamp):

@@ -448,6 +448,48 @@ class TestLayoutRefusals:
             "trace kind 'stage_release' field 'time': 'soon' is not a number"
         )
 
+    def test_time_not_finite_refused(self):
+        message = refusal(
+            with_record(
+                4, math.nan, "stage_release", stage="cam1/j1/s0", context=1
+            )
+        )
+        assert message == (
+            "trace kind 'stage_release' field 'time': nan is not finite"
+        )
+        last = refusal(
+            with_record(179, math.inf, "allocation", pressure=1.0, resident=59)
+        )
+        assert last == "trace kind 'allocation' field 'time': inf is not finite"
+
+    def test_time_running_backwards_refused(self):
+        # record 90 is step 30's release at 0.3; the record before it is
+        # step 29's allocation at 0.29
+        message = refusal(
+            with_record(90, 0.2, "job_release", task="cam0", job=30, deadline=0.3)
+        )
+        assert message == (
+            "trace kind 'job_release' field 'time': 0.2 is before the time "
+            "recorded before it, 0.29"
+        )
+
+    def test_refused_times_leave_the_trace_as_it_was(self):
+        records = mixed_records()
+        trace = ColumnarTrace.from_records(records)
+        len(trace)  # columnarise the regular records, the last at 0.59
+        for time in (math.nan, 0.5):
+            trace.record(0.6, "allocation", pressure=1.0, resident=60)
+            trace.record(time, "fresh_kind", value=1)
+            with pytest.raises(ValueError, match="'fresh_kind' field 'time'"):
+                len(trace)
+            assert list(trace) == records
+            assert "fresh_kind" not in trace.kinds()
+        # a chunk that starts before the stored trace ends is refused too
+        trace.record(0.5, "allocation", pressure=1.0, resident=60)
+        with pytest.raises(ValueError, match="0.5 is before .* 0.59"):
+            len(trace)
+        assert list(trace) == records
+
     def test_refused_chunk_leaves_the_trace_as_it_was(self):
         records = mixed_records()
         trace = ColumnarTrace.from_records(records)

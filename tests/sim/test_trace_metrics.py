@@ -177,12 +177,19 @@ class TestAccumulatorContract:
             replay_both(trace, 0.0, 1.0)
 
     def test_out_of_order_times_raise(self):
+        """Both sources are columnarised, and the recorder refuses a time
+        that runs backwards before the collector sees the completion (its
+        own "before its release" check is pinned in ``test_metrics``)."""
         trace = [
             rec(1.0, "job_release", task="a", job=0, deadline=2.0),
             rec(1.0, "stage_release", stage="a#0.0"),
             rec(0.7, "job_complete", task="a", job=0),
         ]
-        with pytest.raises(ValueError, match="before its release"):
+        with pytest.raises(
+            ValueError,
+            match="'job_complete' field 'time': 0.7 is before the time "
+            "recorded before it, 1.0",
+        ):
             replay_both(trace, 0.0, 2.0)
 
     def test_release_without_deadline_rejected(self):
