@@ -190,7 +190,7 @@ def run_simulation(task_set: TaskSet, config: RunConfig) -> RunResult:
     scheduler.start()
     engine.run_until(config.duration)
     now = engine.now
-    return RunResult(
+    result = RunResult(
         config=config,
         per_task_fps=metrics.per_task_fps(now),
         utilization=device.utilization(now),
@@ -199,3 +199,9 @@ def run_simulation(task_set: TaskSet, config: RunConfig) -> RunResult:
         trace=trace,
         **metrics.summary(now),
     )
+    # The engine and the device stay a reference cycle (the device's
+    # pending event calls back into it), but once the scheduler's
+    # callbacks are dropped nothing in that cycle refers to the scheduler:
+    # it is freed on return, and the collector with the result.
+    scheduler.detach()
+    return result

@@ -55,7 +55,14 @@ from repro.sim.trace_kinds import (
 
 
 class StageInstance:
-    """One released stage of one job."""
+    """One released stage of one job.
+
+    A stage and its kernel point at each other (``kernel`` and
+    ``StageKernel.payload``), and at its job (``job`` and
+    ``JobInstance.stage``) while it is in flight.  The scheduler clears
+    ``payload`` and ``JobInstance.stage`` when the stage completes or its
+    job is shed, so a finished stage is freed by reference counting.
+    """
 
     def __init__(
         self,
@@ -71,7 +78,6 @@ class StageInstance:
         self.priority = priority
         self.record = record
         self.kernel: Optional[StageKernel] = None
-        self.finish_time: Optional[float] = None
         #: Stable identifier, e.g. ``"cam3/j12/s4"``.
         self.label = f"{job.task.name}/j{job.index}/s{spec.index}"
 
@@ -89,7 +95,8 @@ class JobInstance:
         self.stage_deadlines: List[float] = absolute_stage_deadlines(
             task, release_time
         )
-        self.stages: Dict[int, StageInstance] = {}
+        #: The stage in flight, if any: a job's stages run one at a time.
+        self.stage: Optional[StageInstance] = None
         self.completed = False
         self.aborted = False
         #: Whether the job passed admission (skipped/rejected jobs never
@@ -196,6 +203,18 @@ class SchedulerBase:
         self._release_plans: Dict[
             str, Tuple[Iterator[float], Callable[[], None], str]
         ] = {}
+        #: Task name -> its stages' initial priorities (by stage index)
+        #: and its last stage index, built once.
+        self._stage_plans: Dict[str, Tuple[Tuple[PriorityLevel, ...], int]] = {
+            task.name: (
+                tuple(
+                    initial_priority(index, task.num_stages)
+                    for index in range(task.num_stages)
+                ),
+                task.num_stages - 1,
+            )
+            for task in task_set
+        }
         self._inflight: Dict[str, int] = {}
         self._inflight_total = 0
         device.on_kernel_complete = self._on_kernel_complete
@@ -246,6 +265,20 @@ class SchedulerBase:
                 f"release:{task.name}",
             )
             self._schedule_next_release(task)
+
+    def detach(self) -> None:
+        """Drop the callbacks that tie the scheduler into the engine/device
+        cycle: the device's completion callback and the per-task release
+        actions.
+
+        Called once the run is over (``run_simulation`` calls it after
+        building its result); nothing left in the engine or the device
+        then refers to the scheduler, so reference counting frees it and,
+        unless the result holds it, its metrics collector.  It touches no
+        event, the heap or any counter.
+        """
+        self.device.on_kernel_complete = None
+        self._release_plans.clear()
 
     def _schedule_next_release(self, task: TaskSpec) -> None:
         """Pull the task's next arrival and schedule it, if inside horizon.
@@ -335,18 +368,18 @@ class SchedulerBase:
     ) -> None:
         if job.aborted:
             return
-        spec = job.task.stages[stage_index]
+        task = job.task
+        spec = task.stages[stage_index]
         priority = promote_if_predecessor_missed(
-            initial_priority(stage_index, job.task.num_stages),
+            self._stage_plans[task.name][0][stage_index],
             predecessor_missed and self.enable_medium_promotion,
         )
         deadline = job.stage_deadlines[stage_index]
         record = self.metrics.stage_released(
-            job.task.name, job.index, stage_index, self.engine.now, deadline
+            task.name, job.index, stage_index, self.engine.now, deadline
         )
         record.priority = PRIORITY_NAMES[priority]
         stage = StageInstance(spec, job, deadline, priority, record)
-        job.stages[stage_index] = stage
         work = spec.composite.base_time
         if self.work_jitter_cv > 0.0:
             work *= 1.0 + self.work_jitter_cv * self._rng.uniform(-1.0, 1.0)
@@ -360,8 +393,9 @@ class SchedulerBase:
             payload=stage,
         )
         stage.kernel = kernel
+        job.stage = stage
         context = self.select_context(kernel)
-        kernel.setup_remaining = self.reconfig.setup_time(context, job.task.name)
+        kernel.setup_remaining = self.reconfig.setup_time(context, task.name)
         record.context_id = context.context_id
         if self.trace is not None:
             self.trace.record(
@@ -376,14 +410,17 @@ class SchedulerBase:
 
     def _on_kernel_complete(self, kernel: StageKernel) -> None:
         stage: StageInstance = kernel.payload
+        # Unlink the finished stage from its kernel and its job, so that
+        # reference counting frees the stage and the kernel right away.
+        kernel.payload = None
+        job = stage.job
+        job.stage = None
         now = self.engine.now
-        stage.finish_time = now
         if stage.record is not None:
             stage.record.finish_time = now
-        job = stage.job
         if job.aborted:
             return
-        if stage.spec.index == job.task.num_stages - 1:
+        if stage.spec.index == self._stage_plans[job.task.name][1]:
             job.completed = True
             self.metrics.job_completed(job.task.name, job.index, now)
             self._job_departed(job)
@@ -399,23 +436,23 @@ class SchedulerBase:
     # Shedding support
     # ------------------------------------------------------------------
     def abort_job(self, job: JobInstance) -> None:
-        """Shed a job: abort its pending/resident stages.
+        """Shed a job: abort its stage in flight, queued or resident.
 
-        All of the job's in-flight stages are aborted as one device change
-        point (a single settle pass), not one per stage.  The job's metrics
-        record stays unfinished, so it counts as a deadline miss once its
+        The abort is one device change point (a single settle pass).  The
+        stage is unlinked from its kernel and its job first, so a queued
+        kernel's tombstone keeps neither alive.  The job's metrics record
+        stays unfinished, so it counts as a deadline miss once its
         deadline passes.
         """
         if job.finished:
             return
         job.aborted = True
-        kernels = [
-            stage.kernel
-            for stage in job.stages.values()
-            if stage.finish_time is None and stage.kernel is not None
-        ]
-        if kernels:
-            self.device.abort_many(kernels)
+        stage = job.stage
+        if stage is not None:
+            job.stage = None
+            kernel = stage.kernel
+            kernel.payload = None
+            self.device.abort_many([kernel])
         self._job_departed(job)
         if self.trace is not None:
             self.trace.record(

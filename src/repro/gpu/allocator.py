@@ -32,11 +32,16 @@ the kernels, with the kernels whose rate moved listed in resident order
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Sequence, Tuple
 
 from repro.gpu.context import SimContext
 from repro.gpu.kernel import StageKernel
 from repro.numeric import sum_in_order
+
+#: A kernel's share weight, read in C: the water-fill's weight sums map
+#: it over the kernels instead of running a generator.
+_weight = attrgetter("weight")
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,7 @@ def intra_context_shares(
     # Water-filling terminates in <= len(kernels) rounds because each round
     # either caps at least one kernel or distributes the whole budget.
     while remaining and budget > 1e-12:
-        total_weight = sum_in_order(k.weight for k in remaining.values())
+        total_weight = sum_in_order(map(_weight, remaining.values()))
         capped: List[int] = []
         for kernel_id, kernel in remaining.items():
             proportional = budget * kernel.weight / total_weight
@@ -146,7 +151,7 @@ def intra_context_shares(
         shares.setdefault(kernel_id, 0.0)
     if budget > 1e-12:
         # Everyone is width-satisfied: spread the leftover anyway.
-        total_weight = sum_in_order(k.weight for k in kernels)
+        total_weight = sum_in_order(map(_weight, kernels))
         for kernel in kernels:
             shares[kernel.kernel_id] += budget * kernel.weight / total_weight
     return shares

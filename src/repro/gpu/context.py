@@ -13,16 +13,19 @@ Dispatch order follows the paper: the highest non-empty priority level
 first, earliest absolute deadline first within a level.
 
 **Incremental accounting.**  The online phase queries this layer on every
-release and every settle — ``queued_count`` / ``queue_empty`` /
-``backlog_work`` / ``estimated_finish_time`` for SGPRS's context
-assignment, the free-stream views for stream picking, ``dispatch_ready``
-at every device change point.  None of them scans the wait queues; the
-answers are maintained as the queues and streams change:
+release and every settle — the live queue count (``live_queued``), the
+free-stream views and ``estimate_completion`` / ``estimated_finish_time``
+for SGPRS's context assignment, the free-stream views for stream
+picking, ``dispatch_ready`` at every device change point.  None of them
+scans the wait queues; the answers are maintained as the queues and
+streams change:
 
 * per-level **live counters** and aggregate **backlog accumulators**
   (queued single-SM work; queued ETA seconds at the context's nominal
-  speedup) updated at enqueue / pop / tombstone time, so the four
-  accounting queries are O(1) plus an O(#streams) walk over residents.
+  speedup) updated at enqueue / pop / tombstone time, so the accounting
+  queries (``queued_count`` / ``queue_empty`` / ``backlog_work`` /
+  ``estimated_finish_time``) are O(1) plus an O(#streams) walk over
+  residents, and ``live_queued`` is a plain attribute.
   Enqueueing stores the kernel's speedup at the nominal SMs on the
   kernel (``nominal_speedup``), so the walk over residents never
   queries a curve;
@@ -145,7 +148,11 @@ class SimContext:
         self.fill_granted = 0.0
         # Incremental queue accounting.
         self._live: Dict[PriorityLevel, int] = {level: 0 for level in PriorityLevel}
-        self._live_total = 0
+        #: Stages waiting for a stream, over all levels (tombstones
+        #: excluded): the count ``queued_count()`` answers, kept current
+        #: at enqueue / pop / tombstone time and read-only for everyone
+        #: else.
+        self.live_queued = 0
         self._tombstones: Dict[PriorityLevel, int] = {
             level: 0 for level in PriorityLevel
         }
@@ -159,8 +166,13 @@ class SimContext:
         #: used by reconfiguration policies (naive pays to change it).
         self.configured_task: Optional[str] = None
         # Observability counters (deterministic work counts).
-        #: Accounting queries answered (queued_count/queue_empty/
-        #: backlog_work/estimated_finish_time).
+        #: Accounting queries answered: calls of ``queued_count`` (which
+        #: ``queue_empty`` and ``is_idle`` make), ``backlog_work`` and
+        #: ``estimated_finish_time``.  SGPRS's context assignment reads
+        #: ``live_queued`` and ``free_all`` directly, so only its ETAs
+        #: count: ``estimate_completion`` asks ``estimated_finish_time``
+        #: when the stage could not start at once, and the earliest-ETA
+        #: fallback asks every context.
         self.stat_acct_queries = 0
         #: Tombstone-dropping EDF heap rebuilds performed.
         self.stat_compactions = 0
@@ -200,7 +212,7 @@ class SimContext:
         eta = kernel.setup_remaining + work / speedup
         self._queued_entry[kernel.kernel_id] = (level, work, eta)
         self._live[level] += 1
-        self._live_total += 1
+        self.live_queued += 1
         self._queued_work += work
         self._queued_eta += eta
 
@@ -216,8 +228,8 @@ class SimContext:
             return False
         level, work, eta = entry
         self._live[level] -= 1
-        self._live_total -= 1
-        if self._live_total == 0:
+        self.live_queued -= 1
+        if self.live_queued == 0:
             self._queued_work = 0.0
             self._queued_eta = 0.0
         else:
@@ -250,7 +262,7 @@ class SimContext:
         self.stat_acct_queries += 1
         if level is not None:
             return self._live[level]
-        return self._live_total
+        return self.live_queued
 
     def queue_empty(self) -> bool:
         """Whether no stage is waiting for a stream."""
@@ -336,7 +348,7 @@ class SimContext:
         the pass.  Blocked stages are never popped, so their EDF FIFO
         position is preserved by construction.
         """
-        if self._live_total == 0:
+        if self.live_queued == 0:
             return []
         dispatched: List[StageKernel] = []
         for level in _LEVELS_DESC:
@@ -425,7 +437,7 @@ class SimContext:
         """ETA for ``kernel`` if it were assigned to this context now."""
         speedup = self._nominal_speedup(kernel)
         own_time = kernel.setup_remaining + kernel.work_remaining / speedup
-        if self.queue_empty() and len(self.residents) < len(self.streams):
+        if self.live_queued == 0 and len(self.residents) < len(self.streams):
             # Would start immediately, sharing the partition.
             return now + own_time
         return self.estimated_finish_time(now) + own_time

@@ -182,15 +182,6 @@ class GpuDevice:
     # ------------------------------------------------------------------
     # Change-point handling
     # ------------------------------------------------------------------
-    def _residency_rev(self) -> int:
-        """Sum of the per-context residency revisions.
-
-        Each revision is a monotone counter bumped on every attach and
-        detach, so an unchanged sum proves the resident set is untouched
-        (no ABA: any change strictly increases the sum).
-        """
-        return sum(context.residency_rev for context in self.contexts)
-
     def _settle(self) -> None:
         """Advance progress, dispatch queues, re-allocate, re-arm events."""
         if self._settling:
@@ -241,14 +232,21 @@ class GpuDevice:
         self._last_update = now
 
     def _reallocate(self) -> None:
-        residency_rev = self._residency_rev()
+        # The sum of the per-context residency revisions.  Each is a
+        # monotone counter bumped on every attach and detach, so an
+        # unchanged sum proves the resident set is untouched (no ABA: any
+        # change strictly increases the sum).
+        residency_rev = 0
+        for context in self.contexts:
+            residency_rev += context.residency_rev
         if residency_rev == self._alloc_residency_rev:
             # Nothing entered or left a stream since the last pass: shares,
             # rates and every completion anchor are still exact.  Only
             # the allocation trace record is emitted (from the cached
             # result, which the skipped pass would have reproduced).
             self.alloc_skips += 1
-            self._record_allocation(self._last_allocation)
+            if self.trace is not None:
+                self._record_allocation(self._last_allocation)
             return
         result = compute_allocation(
             self.contexts,
@@ -259,7 +257,8 @@ class GpuDevice:
         self.alloc_passes += 1
         self._last_allocation = result
         self._alloc_residency_rev = residency_rev
-        self._record_allocation(result)
+        if self.trace is not None:
+            self._record_allocation(result)
         self._rearm(result.changed)
 
     def _rearm(self, kernels: Sequence[StageKernel]) -> None:
@@ -313,14 +312,14 @@ class GpuDevice:
             self._rearm(())
 
     def _record_allocation(self, result: AllocationResult) -> None:
-        if self.trace is not None:
-            self.trace.record(
-                self.engine.now,
-                ALLOCATION,
-                pressure=round(result.pressure, 4),
-                aggregate_rate=round(result.aggregate_rate, 3),
-                resident=result.resident,
-            )
+        """Record an allocation pass; called only when a trace is kept."""
+        self.trace.record(
+            self.engine.now,
+            ALLOCATION,
+            pressure=round(result.pressure, 4),
+            aggregate_rate=round(result.aggregate_rate, 3),
+            resident=result.resident,
+        )
 
     def _on_completion(self) -> None:
         """The device event fired: its owner reached its anchored time."""

@@ -75,7 +75,8 @@ class StageKernel:
         Serial reconfiguration latency consumed at rate 1 before work
         starts (0 for SGPRS' zero-configuration pool).
     payload:
-        Opaque reference back to the scheduler's stage instance.
+        Opaque reference back to the scheduler's stage instance; the
+        scheduler clears it once the stage completes or is shed.
     """
 
     def __init__(

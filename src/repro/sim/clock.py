@@ -29,14 +29,18 @@ def is_before(a: float, b: float, eps: float = TIME_EPS) -> bool:
 
 
 def validate_time(value: float, name: str = "time") -> float:
-    """Validate that ``value`` is a finite, non-negative timestamp.
+    """Validate that ``value`` is a finite, non-negative timestamp and
+    return it as a ``float``.
 
     Raises
     ------
+    TypeError
+        If ``value`` is not an ``int`` or ``float``, or is a ``bool``
+        (which subclasses ``int`` but is no time).
     ValueError
         If ``value`` is negative, NaN, or infinite.
     """
-    if not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a number, got {type(value).__name__}")
     value = float(value)
     if value != value:  # NaN check without importing math

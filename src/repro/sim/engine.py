@@ -31,6 +31,11 @@ reproducing scheduler behaviour faithfully at speed:
   :meth:`~SimulationEngine.run_until` and
   :meth:`~SimulationEngine.peek_time` share one pop, which drops the
   tombstones ahead of the next live event once.
+* **Cheap reads** — the clock is the plain attribute
+  :attr:`SimulationEngine.now`, which only the engine assigns, and
+  :class:`Event` is a slotted dataclass.  A push that already carries a
+  finite, non-negative ``float`` time skips :func:`validate_time`; any
+  other time goes through it, so the clock is always a ``float``.
 * **Bounded tombstone debt** — whenever cancelled events outnumber live
   ones, the heap is rebuilt without the tombstones (an O(n) pass paid at
   most every n cancellations, so still amortised O(1) per cancel).  Without
@@ -59,7 +64,7 @@ class SimulationError(RuntimeError):
     """
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """Handle for a scheduled event.
 
@@ -108,6 +113,12 @@ class SimulationEngine:
     start_time:
         Initial simulated time (seconds).  Defaults to 0.
 
+    Attributes
+    ----------
+    now:
+        Current simulated time in seconds, always a ``float``.  Only the
+        engine assigns it; everyone else reads it.
+
     Examples
     --------
     >>> engine = SimulationEngine()
@@ -123,7 +134,7 @@ class SimulationEngine:
     COMPACT_MIN_SIZE = 64
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = validate_time(start_time, "start_time")
+        self.now = validate_time(start_time, "start_time")
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._scheduled = 0
@@ -135,11 +146,6 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     @property
     def pending_count(self) -> int:
         """Number of scheduled events that have not fired or been cancelled."""
@@ -194,7 +200,7 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule event {tag!r} with negative delay {delay}"
             )
-        return self.schedule_at(self._now + max(delay, 0.0), action, tag)
+        return self.schedule_at(self.now + max(delay, 0.0), action, tag)
 
     def schedule_at(
         self, when: float, action: Callable[[], None], tag: str = ""
@@ -225,17 +231,20 @@ class SimulationEngine:
         a client moves its one pending event back to an older provisional
         completion without changing its tie-break.
         """
-        validate_time(when, "when")
-        if when < self._now - TIME_EPS:
+        if type(when) is not float or not 0.0 <= when < _INF:
+            when = validate_time(when, "when")
+        now = self.now
+        if when < now - TIME_EPS:
             raise SimulationError(
-                f"cannot schedule event {tag!r} at {when} before now={self._now}"
+                f"cannot schedule event {tag!r} at {when} before now={now}"
             )
         if not 0 <= seq < self._seq:
             raise SimulationError(
                 f"cannot schedule event {tag!r} with unreserved order stamp {seq}"
             )
-        when = max(when, self._now)
-        event = Event(time=when, seq=seq, action=action, tag=tag)
+        if when < now:
+            when = now
+        event = Event(when, seq, action, tag)
         self._scheduled += 1
         heapq.heappush(self._heap, (when, seq, event))
         return event
@@ -293,10 +302,10 @@ class SimulationEngine:
         fired event so those events do not later run with a future
         timestamp.  Returns the number of events processed by this call.
         """
-        validate_time(horizon, "horizon")
-        if horizon < self._now - TIME_EPS:
+        horizon = validate_time(horizon, "horizon")
+        if horizon < self.now - TIME_EPS:
             raise SimulationError(
-                f"horizon {horizon} is before current time {self._now}"
+                f"horizon {horizon} is before current time {self.now}"
             )
         pop_due = self._pop_due
         fired = 0
@@ -311,8 +320,8 @@ class SimulationEngine:
             if next_time is not None and next_time <= horizon:
                 # stopped by max_events with due events still queued
                 return fired
-        if horizon > self._now:
-            self._now = horizon
+        if horizon > self.now:
+            self.now = horizon
         return fired
 
     # ------------------------------------------------------------------
@@ -338,9 +347,9 @@ class SimulationEngine:
             heapq.heappop(heap)
             event.fired = True
             # Guard against clock regression: the heap invariant guarantees
-            # time >= self._now up to scheduling-time validation.
-            if time > self._now:
-                self._now = time
+            # time >= self.now up to scheduling-time validation.
+            if time > self.now:
+                self.now = time
             self._processed += 1
             return event
         return None

@@ -11,13 +11,15 @@ from repro.core.task import TaskSet
 from repro.dnn.models import build_simple_cnn
 from repro.dnn.resnet import build_resnet18
 from repro.gpu.allocator import AllocationParams
+from repro.gpu.context import SimContext
 from repro.gpu.device import GpuDevice
-from repro.gpu.kernel import PriorityLevel
+from repro.gpu.kernel import PriorityLevel, StageKernel
 from repro.gpu.mps import SpatialReconfig
 from repro.gpu.spec import RTX_2080_TI
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import MetricsCollector
 from repro.sim.trace import TraceRecorder
+from repro.speedup.model import SaturatingCurve
 from repro.workloads.generator import identical_periodic_tasks
 
 
@@ -174,6 +176,89 @@ class TestContextAssignment:
                 assert resident[record.get("context")] <= 4
             elif record.kind == "kernel_done":
                 resident[record.get("context")] -= 1
+
+
+def _stage_kernel(work=1e-3, deadline=1.0):
+    return StageKernel(
+        label="k",
+        curve=SaturatingCurve(0.05),
+        work=work,
+        width_demand=16.0,
+        deadline=deadline,
+    )
+
+
+def _queued(context_id, works=()):
+    """An idle context with one queued (never dispatched) stage per work."""
+    context = SimContext(context_id, nominal_sms=17.0)
+    for work in works:
+        context.enqueue(_stage_kernel(work))
+    return context
+
+
+def _selected(contexts, kernel):
+    """The id of the context SGPRS assigns ``kernel`` to, with the device
+    listing ``contexts`` in the given order."""
+    engine = SimulationEngine()
+    device = GpuDevice(engine, RTX_2080_TI, contexts)
+    scheduler = SgprsScheduler(engine, device, TaskSet([]), MetricsCollector())
+    return scheduler.select_context(kernel).context_id
+
+
+class TestContextSelectionRules:
+    """Section IV-B2's three criteria and their tie-breaks, on hand-built
+    contexts.  Every tie goes to the lowest id, so the device lists the
+    contexts in descending id order where a first-found choice would
+    pick the highest."""
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_empty_queue_with_most_free_streams_wins(self, descending):
+        busy, idle = _queued(0), _queued(1)
+        busy.streams[0].attach(_stage_kernel())
+        contexts = [idle, busy] if descending else [busy, idle]
+        assert _selected(contexts, _stage_kernel()) == 1
+
+    def test_empty_queues_with_equal_free_streams_lowest_id_wins(self):
+        contexts = [_queued(2), _queued(1), _queued(0)]
+        assert _selected(contexts, _stage_kernel()) == 0
+
+    def test_empty_queue_wins_before_deadlines_are_looked_at(self):
+        # Context 1 has no free stream and the later ETA (four long stages
+        # resident), but context 0 has a stage queued.
+        contexts = [_queued(0, [1e-3]), _queued(1)]
+        for stream in contexts[1].streams:
+            stream.attach(_stage_kernel(work=10.0))
+        assert _selected(contexts, _stage_kernel()) == 1
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_shortest_queue_meeting_the_deadline_wins(self, descending):
+        # Context 2 has the shortest queue but cannot meet the deadline.
+        contexts = [
+            _queued(0, [1e-3] * 3),
+            _queued(1, [1e-3] * 2),
+            _queued(2, [1e3]),
+        ]
+        if descending:
+            contexts.reverse()
+        assert _selected(contexts, _stage_kernel(deadline=1.0)) == 1
+
+    def test_equal_queues_meeting_the_deadline_lowest_id_wins(self):
+        contexts = [_queued(2, [1e-3]), _queued(1, [1e-3]), _queued(0, [1e-3])]
+        assert _selected(contexts, _stage_kernel(deadline=1.0)) == 0
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_earliest_eta_wins_when_no_context_meets_the_deadline(
+        self, descending
+    ):
+        # Context 1's queue is longer, but it drains first.
+        contexts = [_queued(0, [1e-1]), _queued(1, [1e-3] * 2)]
+        if descending:
+            contexts.reverse()
+        assert _selected(contexts, _stage_kernel(deadline=0.0)) == 1
+
+    def test_equal_etas_lowest_id_wins(self):
+        contexts = [_queued(2, [1e-3]), _queued(1, [1e-3]), _queued(0, [1e-3])]
+        assert _selected(contexts, _stage_kernel(deadline=0.0)) == 0
 
 
 class TestAdmission:

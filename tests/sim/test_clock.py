@@ -61,6 +61,12 @@ class TestValidateTime:
         with pytest.raises(TypeError):
             validate_time("soon")
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bool_naming_the_field(self, value):
+        # bool subclasses int, but a truth value is no time
+        with pytest.raises(TypeError, match="horizon must be a number, got bool"):
+            validate_time(value, name="horizon")
+
     def test_error_mentions_name(self):
         with pytest.raises(ValueError, match="horizon"):
             validate_time(-1.0, name="horizon")

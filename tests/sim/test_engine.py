@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.clock import validate_time
 from repro.sim.engine import Event, SimulationEngine, SimulationError
 
 
@@ -61,6 +62,55 @@ class TestScheduling:
         engine = SimulationEngine()
         with pytest.raises(ValueError):
             engine.schedule_at(float("inf"), lambda: None)
+
+
+class TestClockIsAFloat:
+    """Every time the engine keeps is the ``float`` ``validate_time``
+    returns: an ``int`` is converted, a ``bool`` refused."""
+
+    def test_int_event_time_becomes_float(self):
+        engine = SimulationEngine()
+        event = engine.schedule_at(2, lambda: None)
+        assert type(event.time) is float
+        engine.run()
+        assert engine.now == 2.0 and type(engine.now) is float
+
+    def test_int_horizon_becomes_float(self):
+        engine = SimulationEngine()
+        engine.run_until(3)
+        assert engine.now == 3.0 and type(engine.now) is float
+
+    def test_int_start_time_becomes_float(self):
+        assert type(SimulationEngine(start_time=5).now) is float
+
+    def test_bool_event_time_rejected(self):
+        engine = SimulationEngine()
+        with pytest.raises(TypeError, match="when must be a number, got bool"):
+            engine.schedule_at(True, lambda: None)
+        assert engine.pending_count == 0
+        engine.run()
+        assert engine.now == 0.0 and type(engine.now) is float
+
+    def test_bool_horizon_rejected(self):
+        engine = SimulationEngine()
+        with pytest.raises(TypeError, match="horizon must be a number, got bool"):
+            engine.run_until(True)
+        assert engine.now == 0.0 and type(engine.now) is float
+
+    def test_bool_start_time_rejected(self):
+        with pytest.raises(TypeError, match="start_time"):
+            SimulationEngine(start_time=True)
+
+    @pytest.mark.parametrize(
+        "when",
+        [float("nan"), float("inf"), float("-inf"), -1.0, -1, "soon", None, True],
+    )
+    def test_bad_event_times_raise_what_validate_time_raises(self, when):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            validate_time(when, "when")
+        with pytest.raises(expected.type) as raised:
+            SimulationEngine().schedule_at(when, lambda: None)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestOrdering:
