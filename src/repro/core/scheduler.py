@@ -438,9 +438,10 @@ class SchedulerBase:
     def abort_job(self, job: JobInstance) -> None:
         """Shed a job: abort its stage in flight, queued or resident.
 
-        The abort is one device change point (a single settle pass).  The
-        stage is unlinked from its kernel and its job first, so a queued
-        kernel's tombstone keeps neither alive.  The job's metrics record
+        The abort is one device change point (a single settle pass), and
+        a queued stage leaves its context's queue at once.  The stage is
+        unlinked from its kernel and its job first, so reference counting
+        frees the stage and the kernel.  The job's metrics record
         stays unfinished, so it counts as a deadline miss once its
         deadline passes.
         """

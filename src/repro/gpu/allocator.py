@@ -56,20 +56,14 @@ class AllocationParams:
         over-subscription loses to 1.5x.
     beta:
         Intra-context co-location interference per extra resident kernel.
-    width_fraction:
-        Fraction of a stage's peak speedup that defines its width demand
-        (used when building kernels; recorded here for provenance).
     """
 
     alpha: float = 0.03
     beta: float = 0.01
-    width_fraction: float = 0.9
 
     def __post_init__(self) -> None:
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
-        if not 0.0 < self.width_fraction <= 1.0:
-            raise ValueError("width_fraction must be in (0, 1]")
 
 
 @dataclass

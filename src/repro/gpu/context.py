@@ -20,9 +20,9 @@ picking, ``dispatch_ready`` at every device change point.  None of them
 scans the wait queues; the answers are maintained as the queues and
 streams change:
 
-* per-level **live counters** and aggregate **backlog accumulators**
+* a **live count** and aggregate **backlog accumulators**
   (queued single-SM work; queued ETA seconds at the context's nominal
-  speedup) updated at enqueue / pop / tombstone time, so the accounting
+  speedup) updated at enqueue / pop / remove time, so the accounting
   queries (``queued_count`` / ``queue_empty`` / ``backlog_work`` /
   ``estimated_finish_time``) are O(1) plus an O(#streams) walk over
   residents, and ``live_queued`` is a plain attribute.
@@ -45,10 +45,12 @@ streams change:
   streams, so a level found blocked stays blocked for the rest of the
   pass; its stages are never popped, so a blocked stage keeps its EDF
   FIFO rank among equal deadlines;
-* **tombstone compaction** in the per-level EDF heaps, mirroring
-  :class:`repro.sim.engine.SimulationEngine`'s majority-compaction rule
-  (rebuild when tombstones outnumber live entries), so aborted stages
-  stop occupying memory and pop time under heavy shedding.
+* **only queued stages in the per-level EDF heaps**, so a level's heap
+  length is its count: :meth:`SimContext.remove` takes a shed stage's
+  entry out at once (found by identity, deleted, the heap re-heapified),
+  as :meth:`repro.sim.engine.SimulationEngine.cancel` does for events.
+  ``(deadline, seq)`` keys are unique, so the survivors pop in exactly
+  the order they would have.
 
 Float caveat, deliberate: the accumulators produce the values a re-sum of
 the queued stages would *up to summation order* — an accumulator that
@@ -97,10 +99,6 @@ class SimContext:
         strict interpretation; the ablation benchmark compares both.
     """
 
-    #: Per-level EDF heaps smaller than this are never compacted
-    #: (rebuilding a handful of entries costs more than the tombstones).
-    COMPACT_MIN_SIZE = 32
-
     def __init__(
         self,
         context_id: int,
@@ -147,15 +145,10 @@ class SimContext:
         self.fill_shares: List[float] = []
         self.fill_granted = 0.0
         # Incremental queue accounting.
-        self._live: Dict[PriorityLevel, int] = {level: 0 for level in PriorityLevel}
-        #: Stages waiting for a stream, over all levels (tombstones
-        #: excluded): the count ``queued_count()`` answers, kept current
-        #: at enqueue / pop / tombstone time and read-only for everyone
-        #: else.
+        #: Stages waiting for a stream, over all levels: the count
+        #: ``queued_count()`` answers, kept current at enqueue / pop /
+        #: remove time and read-only for everyone else.
         self.live_queued = 0
-        self._tombstones: Dict[PriorityLevel, int] = {
-            level: 0 for level in PriorityLevel
-        }
         #: kernel_id -> (level, queued work, queued ETA contribution); the
         #: exact floats added to the accumulators, so unregistering
         #: subtracts precisely what was added.
@@ -174,8 +167,6 @@ class SimContext:
         #: when the stage could not start at once, and the earliest-ETA
         #: fallback asks every context.
         self.stat_acct_queries = 0
-        #: Tombstone-dropping EDF heap rebuilds performed.
-        self.stat_compactions = 0
 
     # ------------------------------------------------------------------
     # Queue management
@@ -198,7 +189,7 @@ class SimContext:
         return max(kernel.curve.speedup(self.nominal_sms), 1e-9)
 
     def _register_queued(self, kernel: StageKernel) -> None:
-        """Fold a newly queued stage into the live counters/accumulators.
+        """Fold a newly queued stage into the count and accumulators.
 
         A queued stage's ``work_remaining`` and ``setup_remaining`` are
         frozen until it is dispatched (only residents advance), so its
@@ -211,23 +202,22 @@ class SimContext:
         kernel.nominal_speedup = speedup = self._nominal_speedup(kernel)
         eta = kernel.setup_remaining + work / speedup
         self._queued_entry[kernel.kernel_id] = (level, work, eta)
-        self._live[level] += 1
         self.live_queued += 1
         self._queued_work += work
         self._queued_eta += eta
 
-    def _unregister_queued(self, kernel: StageKernel) -> bool:
-        """Remove a stage's contribution; ``False`` if it was not queued.
+    def _unregister_queued(self, kernel: StageKernel) -> Optional[PriorityLevel]:
+        """Remove a stage's contribution and return its level; ``None``
+        if it was not queued.
 
-        When the last live entry leaves, the accumulators are reset to
+        When the last queued stage leaves, the accumulators are reset to
         exactly 0.0 so add/subtract rounding residue cannot accumulate
         across backlog episodes.
         """
         entry = self._queued_entry.pop(kernel.kernel_id, None)
         if entry is None:
-            return False
+            return None
         level, work, eta = entry
-        self._live[level] -= 1
         self.live_queued -= 1
         if self.live_queued == 0:
             self._queued_work = 0.0
@@ -235,33 +225,13 @@ class SimContext:
         else:
             self._queued_work -= work
             self._queued_eta -= eta
-        return True
-
-    def _maybe_compact(self, level: PriorityLevel) -> None:
-        """Drop a level's tombstones when they outnumber live entries.
-
-        Mirrors the engine heap's majority-compaction rule: an O(n)
-        rebuild paid at most every n tombstones is amortised O(1) per
-        abort, and it bounds both memory and the ``log n`` every push/pop
-        pays.  ``(deadline, seq)`` keys are unique, so the re-heapified
-        queue pops in exactly the order the original would have.
-        """
-        queue = self._queues[level]
-        if (
-            self._tombstones[level] * 2 > len(queue)
-            and len(queue) >= self.COMPACT_MIN_SIZE
-        ):
-            live = [entry for entry in queue if not entry[2].aborted]
-            heapq.heapify(live)
-            self._queues[level] = live
-            self._tombstones[level] = 0
-            self.stat_compactions += 1
+        return level
 
     def queued_count(self, level: Optional[PriorityLevel] = None) -> int:
         """Stages waiting for a stream (optionally at one level)."""
         self.stat_acct_queries += 1
         if level is not None:
-            return self._live[level]
+            return len(self._queues[level])
         return self.live_queued
 
     def queue_empty(self) -> bool:
@@ -352,29 +322,16 @@ class SimContext:
             return []
         dispatched: List[StageKernel] = []
         for level in _LEVELS_DESC:
-            while self._live[level] > 0:
+            queue = self._queues[level]
+            while queue:
                 stream = self._pick_stream(level)
                 if stream is None:
                     break  # blocked level: lower ones may use other classes
-                kernel = self._pop_live(level)
-                if kernel is None:  # pragma: no cover - counters guarantee
-                    break
+                kernel = heapq.heappop(queue)[2]
+                self._unregister_queued(kernel)
                 stream.attach(kernel)
                 dispatched.append(kernel)
         return dispatched
-
-    def _pop_live(self, level: PriorityLevel) -> Optional[StageKernel]:
-        """Pop the earliest-deadline non-aborted stage of one level,
-        dropping the tombstones ahead of it."""
-        queue = self._queues[level]
-        while queue:
-            kernel = heapq.heappop(queue)[2]
-            if kernel.aborted:
-                self._tombstones[level] -= 1
-                continue
-            self._unregister_queued(kernel)
-            return kernel
-        return None
 
     def _pick_stream(self, level: PriorityLevel) -> Optional[CudaStream]:
         if PREFERRED_CLASS[level] is StreamClass.HIGH:
@@ -388,20 +345,21 @@ class SimContext:
     def remove(self, kernel: StageKernel) -> None:
         """Detach a kernel wherever it lives (stream or queue).
 
-        Queued copies are tombstoned (``aborted`` kernels are skipped when
-        popped), the live counters/accumulators are settled immediately,
-        and a tombstone-majority heap is compacted — so removal stays
-        amortised O(1) and shed stages stop costing memory or pop time.
+        A queued stage leaves its level's heap at once: its entry, found
+        by identity, is deleted and the heap re-heapified.  The count and
+        accumulators are settled with it.
         """
         for stream in self.streams:
             if stream.kernel is kernel:
                 stream.detach()
                 return
-        kernel.aborted = True
-        if self._unregister_queued(kernel):
-            level = kernel.priority
-            self._tombstones[level] += 1
-            self._maybe_compact(level)
+        level = self._unregister_queued(kernel)
+        if level is None:
+            return
+        queue = self._queues[level]
+        index = next(i for i, entry in enumerate(queue) if entry[2] is kernel)
+        del queue[index]
+        heapq.heapify(queue)
 
     # ------------------------------------------------------------------
     # Estimates used by the SGPRS context-assignment policy

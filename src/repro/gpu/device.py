@@ -11,7 +11,7 @@ completion, abort); at every change point the device
    attach/detach),
 2. recomputes the allocation — unless the resident set is untouched since
    the last settle (a submit that only queued, an abort that only
-   tombstoned), in which case shares, rates and every completion anchor
+   dropped a queued stage), in which case shares, rates and every completion anchor
    are still exact and the whole pass is skipped,
 3. re-anchors the completion **only of the kernels the allocator reports
    as changed** (``AllocationResult.changed``: their rate moved, or they
@@ -168,7 +168,6 @@ class GpuDevice:
         self._settle()
 
     def _abort_one(self, kernel: StageKernel) -> None:
-        kernel.aborted = True
         context = (
             self._context_by_id.get(kernel.context_id)
             if kernel.context_id is not None

@@ -140,7 +140,6 @@ class StageKernel:
         # queue fails loudly instead of reading a stale number.
         self.stream_id: Optional[int] = None
         self.dispatched_at: Optional[float] = None
-        self.aborted = False
 
     # ------------------------------------------------------------------
     # Progress accounting

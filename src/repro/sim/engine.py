@@ -11,43 +11,31 @@ reproducing scheduler behaviour faithfully at speed:
   reserves a stamp with :meth:`SimulationEngine.reserve_seq` wherever it
   would otherwise have pushed, and pushes with
   :meth:`SimulationEngine.schedule_at_seq`: the pushed event sorts among
-  same-time events exactly as the skipped pushes would have.  Heap
-  compaction preserves the order too: the live events' ``(time, seq)``
-  keys are a total order, so a rebuilt heap pops in exactly the same order
-  as the original.
+  same-time events exactly as the skipped pushes would have.
 * **Ordering in C** — a heap entry is a ``(time, seq, event)`` tuple, so
   every heap comparison is a tuple comparison the interpreter does without
-  calling back into Python.  Two entries share ``(time, seq)`` only when a
-  client re-pushed a stamp whose previous event it cancelled; only then is
-  :meth:`Event.__lt__` reached, and it orders neither before the other,
-  exactly as a heap of events compared by ``(time, seq)`` would.
-* **Cheap cancellation** — a device moves its one provisional completion
-  event whenever its earliest completion changes.  Cancelled events are
-  tombstoned and skipped when popped instead of being removed from the
-  heap, which keeps :meth:`SimulationEngine.cancel` amortised O(1).
-  ``engine.cancel(event)`` is the only way to cancel (an event handle has
-  no ``cancel`` of its own), so the pending-event accounting can never
-  drift.  :meth:`~SimulationEngine.step`,
-  :meth:`~SimulationEngine.run_until` and
-  :meth:`~SimulationEngine.peek_time` share one pop, which drops the
-  tombstones ahead of the next live event once.
+  calling back into Python.  No two pending entries share ``(time, seq)``,
+  so the comparison never reaches the event.
+* **Only pending events in the heap** — a device moves its one provisional
+  completion event whenever its earliest completion changes.
+  :meth:`SimulationEngine.cancel` takes the event's entry out of the heap
+  at once: it finds the entry by identity, deletes it and re-heapifies.
+  The heap holds one pending release per task plus one event per device,
+  so both passes are short, and the heap's length is
+  :attr:`SimulationEngine.pending_count`.  ``engine.cancel(event)``
+  is the only way to cancel (an event handle has no ``cancel`` of its
+  own), and it refuses an event that is not pending in this engine.
 * **Cheap reads** — the clock is the plain attribute
   :attr:`SimulationEngine.now`, which only the engine assigns, and
   :class:`Event` is a slotted dataclass.  A push that already carries a
   finite, non-negative ``float`` time skips :func:`validate_time`; any
   other time goes through it, so the clock is always a ``float``.
-* **Bounded tombstone debt** — whenever cancelled events outnumber live
-  ones, the heap is rebuilt without the tombstones (an O(n) pass paid at
-  most every n cancellations, so still amortised O(1) per cancel).  Without
-  compaction a workload that cancels most of what it schedules would grow
-  the heap without bound and pay an ever-larger ``log n`` on every push
-  and pop.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.sim.clock import TIME_EPS, validate_time
@@ -64,13 +52,14 @@ class SimulationError(RuntimeError):
     """
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Event:
     """Handle for a scheduled event.
 
     Instances are created by :meth:`SimulationEngine.schedule`; user code
     only ever passes them to :meth:`SimulationEngine.cancel` or inspects
-    their fields.
+    their fields.  Events compare by identity, so a lookup of one event
+    never matches a look-alike.
 
     Attributes
     ----------
@@ -89,20 +78,10 @@ class Event:
     seq: int
     action: Callable[[], None]
     tag: str = ""
-    cancelled: bool = field(default=False, compare=False)
+    cancelled: bool = False
     #: Set by the engine the moment the event is popped to fire; a fired
-    #: event is no longer in the heap, so cancelling it must not touch the
-    #: pending-tombstone accounting.
-    fired: bool = field(default=False, compare=False)
-
-    def __lt__(self, other: "Event") -> bool:
-        """Order by ``(time, seq)``.
-
-        Heap entries are ``(time, seq, event)`` tuples, so this runs only
-        when two entries tie on both: a re-pushed stamp and its own
-        tombstone, neither of which it orders before the other.
-        """
-        return (self.time, self.seq) < (other.time, other.seq)
+    #: event is no longer in the heap, so cancelling it is a no-op.
+    fired: bool = False
 
 
 class SimulationEngine:
@@ -129,18 +108,12 @@ class SimulationEngine:
     [1.0]
     """
 
-    #: Heaps smaller than this are never compacted: rebuilding a handful of
-    #: events costs more bookkeeping than the tombstones it would reclaim.
-    COMPACT_MIN_SIZE = 64
-
     def __init__(self, start_time: float = 0.0) -> None:
         self.now = validate_time(start_time, "start_time")
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._scheduled = 0
         self._processed = 0
-        self._cancelled_pending = 0
-        self._compactions = 0
         self._running = False
 
     # ------------------------------------------------------------------
@@ -149,7 +122,7 @@ class SimulationEngine:
     @property
     def pending_count(self) -> int:
         """Number of scheduled events that have not fired or been cancelled."""
-        return len(self._heap) - self._cancelled_pending
+        return len(self._heap)
 
     @property
     def processed_count(self) -> int:
@@ -170,20 +143,15 @@ class SimulationEngine:
 
     @property
     def compaction_count(self) -> int:
-        """Number of tombstone-dropping heap rebuilds performed so far."""
-        return self._compactions
-
-    @property
-    def heap_size(self) -> int:
-        """Current physical heap length, tombstones included."""
-        return len(self._heap)
+        """Always 0: the heap holds only pending events, so it is never
+        rebuilt.  Kept only because the benchmark ledger reads it as
+        ``sim.engine.compactions``."""
+        return 0
 
     def peek_time(self) -> Optional[float]:
-        """Return the timestamp of the next live event, or ``None`` if idle."""
-        self._pop_due(-_INF)  # due by no horizon: drops tombstones only
-        if not self._heap:
-            return None
-        return self._heap[0][0]
+        """Return the timestamp of the next pending event, or ``None`` if idle."""
+        heap = self._heap
+        return heap[0][0] if heap else None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -227,9 +195,10 @@ class SimulationEngine:
         """Schedule ``action`` at ``when``, ordered by the reserved stamp ``seq``.
 
         ``seq`` must come from :meth:`reserve_seq`.  One stamp may be
-        pushed again after the event carrying it was cancelled: that is how
-        a client moves its one pending event back to an older provisional
-        completion without changing its tie-break.
+        pushed again after the event carrying it was cancelled (never
+        while it is pending): that is how a client moves its one pending
+        event back to an older provisional completion without changing
+        its tie-break.
         """
         if type(when) is not float or not 0.0 <= when < _INF:
             when = validate_time(when, "when")
@@ -250,26 +219,30 @@ class SimulationEngine:
         return event
 
     def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event.  Idempotent.
+        """Cancel a pending event and take it out of the heap.
 
-        Cancelling an event that already fired is a no-op: it is not in
-        the heap any more, so it must not count as a pending tombstone.
+        Idempotent: cancelling an event that was already cancelled or has
+        fired is a no-op.  Any other event that is not pending in this
+        engine raises :class:`SimulationError` and is left untouched.
         """
         if event.cancelled or event.fired:
             return
+        heap = self._heap
+        try:
+            index = heap.index((event.time, event.seq, event))
+        except ValueError:
+            raise SimulationError(
+                f"cannot cancel event {event.tag!r}: not pending in this engine"
+            ) from None
         event.cancelled = True
-        self._cancelled_pending += 1
-        if (
-            self._cancelled_pending * 2 > len(self._heap)
-            and len(self._heap) >= self.COMPACT_MIN_SIZE
-        ):
-            self._compact()
+        del heap[index]
+        heapq.heapify(heap)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Fire the next live event.
+        """Fire the next pending event.
 
         Returns ``True`` if an event fired, ``False`` if the queue is empty.
         """
@@ -298,7 +271,7 @@ class SimulationEngine:
         ``TIME_EPS`` beyond the horizon stays queued, so the clock never has
         to rewind after firing it.  The clock only advances to ``horizon``
         once every sub-horizon event has fired — if ``max_events`` stops
-        execution with live events still due, the clock stays at the last
+        execution with pending events still due, the clock stays at the last
         fired event so those events do not later run with a future
         timestamp.  Returns the number of events processed by this call.
         """
@@ -328,39 +301,20 @@ class SimulationEngine:
     # Internals
     # ------------------------------------------------------------------
     def _pop_due(self, horizon: float) -> Optional[Event]:
-        """Pop the next live event if it is due by ``horizon``, dropping the
-        tombstones ahead of it, and advance the clock to it.
+        """Pop the next event if it is due by ``horizon`` and advance the
+        clock to it; ``None`` when none is due.
 
-        Returns ``None``, popping no live event, when none is due.  This is
-        the engine's one pop: :meth:`step`, :meth:`run_until` and
-        :meth:`peek_time` all go through it.
+        This is the engine's one pop: :meth:`step` and :meth:`run_until`
+        both go through it.
         """
         heap = self._heap
-        while heap:
-            time, _, event = heap[0]
-            if event.cancelled:
-                heapq.heappop(heap)
-                self._cancelled_pending -= 1
-                continue
-            if time > horizon:
-                return None
-            heapq.heappop(heap)
-            event.fired = True
-            # Guard against clock regression: the heap invariant guarantees
-            # time >= self.now up to scheduling-time validation.
-            if time > self.now:
-                self.now = time
-            self._processed += 1
-            return event
-        return None
-
-    def _compact(self) -> None:
-        """Rebuild the heap without tombstones.
-
-        Pop order is unchanged: heap order is fully determined by the
-        ``(time, seq)`` comparison, a total order over live events.
-        """
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled_pending = 0
-        self._compactions += 1
+        if not heap or heap[0][0] > horizon:
+            return None
+        time, _, event = heapq.heappop(heap)
+        event.fired = True
+        # Guard against clock regression: the heap invariant guarantees
+        # time >= self.now up to scheduling-time validation.
+        if time > self.now:
+            self.now = time
+        self._processed += 1
+        return event

@@ -238,8 +238,6 @@ class TestComputeAllocation:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             AllocationParams(alpha=-1.0)
-        with pytest.raises(ValueError):
-            AllocationParams(width_fraction=0.0)
 
 
 class TestSettleOnlyWhatMoved:

@@ -146,7 +146,7 @@ class TestRemove:
         context.remove(kernel)
         assert context.resident_kernels() == []
 
-    def test_remove_queued_tombstones(self):
+    def test_remove_queued_leaves_the_queue(self):
         context = SimContext(0, 34.0, high_streams=0, low_streams=1)
         first = make_kernel("a", deadline=1.0)
         second = make_kernel("b", deadline=2.0)
@@ -155,6 +155,7 @@ class TestRemove:
         context.dispatch_ready()  # first becomes resident
         context.remove(second)
         assert context.queued_count() == 0
+        assert context._queues[PriorityLevel.LOW] == []
         assert context.dispatch_ready() == []
 
 
@@ -249,7 +250,7 @@ class TestStrictBlockageDispatch:
         l1 = make_kernel("l1", deadline=0.5, priority=PriorityLevel.LOW)
         for kernel in (doomed, h1, h2, m1, l1):
             context.enqueue(kernel)
-        context.remove(doomed)  # tombstoned while queued
+        context.remove(doomed)  # shed while queued
 
         # Fully blocked: dispatch must return (no livelock) with nothing
         # moved and the queue accounting intact.
@@ -258,7 +259,7 @@ class TestStrictBlockageDispatch:
         assert context.queued_count(PriorityLevel.HIGH) == 2
 
         # Free the low-class stream: MEDIUM outranks LOW for it, despite
-        # l1's earlier deadline, and the tombstone never dispatches.
+        # l1's earlier deadline, and the shed stage never dispatches.
         context.remove(low_blocker)
         assert context.dispatch_ready() == [m1]
         context.remove(m1)
@@ -272,8 +273,20 @@ class TestStrictBlockageDispatch:
         assert context.queue_empty()
 
 
-class TestQueueCompaction:
-    def test_heavy_shedding_compacts_tombstones(self):
+class TestQueueHoldsOnlyQueuedStages:
+    """A shed stage leaves its level's EDF heap at once."""
+
+    @staticmethod
+    def drain(context):
+        order = []
+        while not context.queue_empty():
+            dispatched = context.dispatch_ready()
+            order.extend(dispatched)
+            for kernel in dispatched:
+                context.remove(kernel)
+        return order
+
+    def test_heavy_shedding_leaves_only_the_survivors(self):
         context = SimContext(0, 34.0, high_streams=0, low_streams=1)
         blocker = make_kernel("blocker")
         context.enqueue(blocker)
@@ -285,32 +298,29 @@ class TestQueueCompaction:
             context.enqueue(kernel)
         for kernel in kernels[:21]:
             context.remove(kernel)
-        # 21 tombstones in a 40-entry heap crosses the majority threshold:
-        # the rebuilt heap holds exactly the 19 survivors.
-        assert context.stat_compactions == 1
         assert len(context._queues[PriorityLevel.LOW]) == 19
         assert context.queued_count() == 19
         # Survivors still drain in EDF order.
         context.remove(blocker)
-        order = []
-        while not context.queue_empty():
-            dispatched = context.dispatch_ready()
-            order.extend(dispatched)
-            for kernel in dispatched:
-                context.remove(kernel)
-        assert order == kernels[21:]
+        assert self.drain(context) == kernels[21:]
 
-    def test_small_queues_never_compact(self):
+    def test_shedding_from_the_middle_keeps_edf_order(self):
         context = SimContext(0, 34.0, high_streams=0, low_streams=1)
-        context.enqueue(make_kernel("blocker"))
+        blocker = make_kernel("blocker")
+        context.enqueue(blocker)
         context.dispatch_ready()
-        kernels = [make_kernel(f"k{i}") for i in range(8)]
+        kernels = [
+            make_kernel(f"k{i}", deadline=float((i * 7) % 12)) for i in range(12)
+        ]
         for kernel in kernels:
             context.enqueue(kernel)
-        for kernel in kernels:
+        doomed = kernels[5::2]
+        for kernel in doomed:
             context.remove(kernel)
-        assert context.stat_compactions == 0
-        assert context.queued_count() == 0
+        survivors = [k for k in kernels if k not in doomed]
+        assert context.queued_count(PriorityLevel.LOW) == len(survivors)
+        context.remove(blocker)
+        assert self.drain(context) == sorted(survivors, key=lambda k: k.deadline)
 
 
 class TestAccountingModes:
@@ -333,7 +343,7 @@ class TestAccountingModes:
         for kernel in kernels:
             context.enqueue(kernel)
         dispatched = context.dispatch_ready()
-        context.remove(kernels[4])  # tombstone one queued stage
+        context.remove(kernels[4])  # shed one queued stage
         # HIGH first, then MEDIUM, then LOW in EDF order; the fourth stage
         # borrows the idle HIGH stream and the rest wait.
         assert [k.label for k in dispatched] == ["b", "f", "d", "a"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.clock import validate_time
-from repro.sim.engine import Event, SimulationEngine, SimulationError
+from repro.sim.engine import SimulationEngine, SimulationError
 
 
 class TestScheduling:
@@ -172,20 +172,9 @@ class TestReservedStamps:
         assert fired == [2]
         assert engine.processed_count == 1
 
-    def test_heap_order_compares_events_only_on_a_repushed_stamp(
-        self, monkeypatch
-    ):
-        """Heap entries order by ``(time, seq)`` without calling back into
-        ``Event``; only a stamp pushed again next to its own tombstone
-        ties, and then the tie-break is reached."""
-        compared = []
-        event_lt = Event.__lt__
-
-        def counted(event, other):
-            compared.append((event.seq, other.seq))
-            return event_lt(event, other)
-
-        monkeypatch.setattr(Event, "__lt__", counted)
+    def test_repushed_stamp_fires_at_its_reserved_position(self):
+        """A stamp pushed again after its cancel sorts among same-time
+        events by the stamp, not by the push."""
         engine = SimulationEngine()
         fired = []
         for index in range(40):
@@ -193,12 +182,14 @@ class TestReservedStamps:
             engine.schedule_at(when, lambda i=index: fired.append(i))
         stamp = engine.reserve_seq()
         engine.cancel(engine.schedule_at_seq(0.5, stamp, lambda: None))
-        assert compared == []
+        engine.schedule_at(0.5, lambda: fired.append("later"))
         engine.schedule_at_seq(0.5, stamp, lambda: fired.append("again"))
+        assert engine.pending_count == len(engine._heap) == 42
         engine.run()
-        assert compared and set(compared) == {(stamp, stamp)}
-        assert len(fired) == 41 and fired.index("again") == 24
-        assert engine.pending_count == engine.heap_size == 0
+        # 20 events before 0.5 and the 4 earlier-stamped ones at 0.5
+        assert len(fired) == 42 and fired.index("again") == 24
+        assert fired.index("later") == 25
+        assert engine.pending_count == len(engine._heap) == 0
 
     @pytest.mark.parametrize("stamp", [-1, 1, 5])
     def test_unreserved_stamp_rejected(self, stamp):
@@ -232,8 +223,6 @@ class TestCancellation:
         engine.cancel(drop)
         assert engine.pending_count == 1
         engine.run()
-        # draining the heap (including the tombstone) must not drive the
-        # cancelled-pending counter negative
         assert engine.pending_count == 0
         assert engine.processed_count == 1
 
@@ -247,7 +236,7 @@ class TestCancellation:
 
     def test_cancel_after_fire_is_a_noop(self):
         # A fired event is no longer in the heap; cancelling it must not
-        # corrupt the pending-tombstone accounting.
+        # touch the pending count.
         engine = SimulationEngine()
         event = engine.schedule(1.0, lambda: None)
         engine.run()
@@ -258,55 +247,59 @@ class TestCancellation:
         assert engine.pending_count == 1
 
 
-class TestCompaction:
-    def test_tombstone_majority_triggers_compaction(self):
-        engine = SimulationEngine()
-        events = [engine.schedule(float(i + 1), lambda: None)
-                  for i in range(SimulationEngine.COMPACT_MIN_SIZE)]
-        for event in events[: SimulationEngine.COMPACT_MIN_SIZE // 2 + 1]:
-            engine.cancel(event)
-        assert engine.compaction_count == 1
-        # tombstones are physically gone, live events all survive
-        assert engine.heap_size == engine.pending_count
-        assert engine.pending_count == (
-            SimulationEngine.COMPACT_MIN_SIZE
-            - SimulationEngine.COMPACT_MIN_SIZE // 2
-            - 1
-        )
+    def test_cancel_of_another_engines_event_raises(self):
+        """An event pending in one engine cannot be cancelled through
+        another, not even next to a look-alike with the same fields."""
+        def action():
+            pass
 
-    def test_small_heaps_never_compact(self):
+        a, b = SimulationEngine(), SimulationEngine()
+        event = a.schedule_at(1.0, action, "x")
+        twin = b.schedule_at(1.0, action, "x")
+        with pytest.raises(SimulationError, match="'x'"):
+            b.cancel(event)
+        assert not event.cancelled and not twin.cancelled
+        assert a.pending_count == b.pending_count == 1
+        assert a.run() == b.run() == 1
+        assert a.pending_count == b.pending_count == 0
+
+
+class TestHeapHoldsOnlyPendingEvents:
+    """A cancel takes the event out of the heap at once."""
+
+    def test_cancelling_a_majority_leaves_only_the_survivors(self):
         engine = SimulationEngine()
         events = [engine.schedule(float(i + 1), lambda: None)
-                  for i in range(8)]
-        for event in events:
+                  for i in range(64)]
+        for event in events[:33]:
             engine.cancel(event)
+        assert engine.pending_count == len(engine._heap) == 31
         assert engine.compaction_count == 0
+        assert engine.peek_time() == 34.0
 
-    def test_compaction_preserves_firing_order(self):
+    def test_survivors_fire_in_time_seq_order(self):
         engine = SimulationEngine()
         fired = []
         keep = []
-        for index in range(SimulationEngine.COMPACT_MIN_SIZE * 2):
-            event = engine.schedule(
-                ((index * 37) % 100) * 0.1,
-                lambda i=index: fired.append(i),
-            )
+        for index in range(128):
+            when = ((index * 37) % 100) * 0.1
+            event = engine.schedule(when, lambda i=index: fired.append(i))
             if index % 3 == 0:
-                keep.append((((index * 37) % 100) * 0.1, index))
+                keep.append((when, event.seq, index))
             else:
                 engine.cancel(event)
-        assert engine.compaction_count >= 1
+        assert engine.pending_count == len(engine._heap) == len(keep)
         engine.run()
-        assert fired == [i for _, i in sorted(keep)]
+        assert fired == [index for _, _, index in sorted(keep)]
 
-    def test_cancel_remains_idempotent_across_compaction(self):
+    def test_cancel_remains_idempotent_after_removal(self):
         engine = SimulationEngine()
         events = [engine.schedule(float(i + 1), lambda: None)
-                  for i in range(SimulationEngine.COMPACT_MIN_SIZE)]
-        doomed = events[: SimulationEngine.COMPACT_MIN_SIZE // 2 + 1]
+                  for i in range(64)]
+        doomed = events[:33]
         for event in doomed:
             engine.cancel(event)
-        for event in doomed:  # second cancel after the rebuild dropped them
+        for event in doomed:  # second cancel after the entry is gone
             engine.cancel(event)
         assert engine.pending_count == len(events) - len(doomed)
         assert engine.run() == len(events) - len(doomed)

@@ -54,6 +54,71 @@ def test_engine_cancellation_only_removes_cancelled(delays, data):
     assert fired == len(delays) - len(cancel_indices)
 
 
+_engine_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["schedule", "cancel", "cancel_dead", "repush", "run"]),
+        st.integers(min_value=0, max_value=30),
+    ),
+    max_size=80,
+)
+
+
+@given(_engine_ops)
+@settings(max_examples=200)
+def test_engine_matches_a_sorted_reference_model(ops):
+    """Random interleavings of pushes, cancels, re-pushed stamps and
+    horizons against a model that is just the sorted ``(time, seq)`` keys
+    of the pending events: the engine fires in the model's order, and its
+    heap holds exactly the pending events after every operation."""
+    engine = SimulationEngine()
+    live = {}  # (time, seq) -> pending event: the reference model
+    free_stamps = {}  # seq -> time of a cancelled stamp not pushed again
+    dead = []  # events that fired or were cancelled
+    fired = []
+
+    def push(when, seq=None):
+        key = []
+
+        def action():
+            fired.append(key[0])
+
+        if seq is None:
+            event = engine.schedule_at(when, action)
+        else:
+            event = engine.schedule_at_seq(when, seq, action)
+        key.append((event.time, event.seq))
+        live[key[0]] = event
+
+    for op, arg in ops:
+        if op == "schedule":
+            push(engine.now + arg / 10)
+        elif op == "cancel" and live:
+            key = sorted(live)[arg % len(live)]
+            event = live.pop(key)
+            engine.cancel(event)
+            free_stamps[key[1]] = key[0]
+            dead.append(event)
+        elif op == "cancel_dead" and dead:
+            engine.cancel(dead[arg % len(dead)])  # a no-op
+        elif op == "repush" and free_stamps:
+            seq = sorted(free_stamps)[arg % len(free_stamps)]
+            push(max(free_stamps.pop(seq), engine.now), seq)
+        elif op == "run":
+            horizon = engine.now + arg / 10
+            due = sorted(key for key in live if key[0] <= horizon)
+            engine.run_until(horizon)
+            assert fired == due
+            for key in due:
+                dead.append(live.pop(key))
+            fired.clear()
+        assert engine.pending_count == len(engine._heap) == len(live)
+        assert engine.peek_time() == (min(live)[0] if live else None)
+    expected = sorted(live)
+    engine.run()
+    assert fired == expected
+    assert engine.pending_count == len(engine._heap) == 0
+
+
 # ---------------------------------------------------------------------------
 # Speedup curve properties
 # ---------------------------------------------------------------------------
